@@ -1,19 +1,19 @@
 """Coding sessions: decoded-frame buffer, reference handling, and the
-frame/sequence encode-decode pipeline.
+one inter-frame step shared by training, encoding and decoding.
 
-The encoder reconstructs every inter frame through exactly the float
-operations the decoder will run on the decoded symbols, so encoder and
-decoder buffers hold bit-identical pixels, features, and flows at every
-time step (drift-free by construction, asserted by tests).
-
-Per inter frame: motion is estimated against the newest decoded frame
-and coded by the motion autoencoder; the reference list is padded by
-the duplication policy; each reference's stored feature is warped by a
-cumulative flow obtained by composing stored decoded flows (duplicates
-reuse their source's flow); the fusion front-end produces the context
-pyramid; the contextual autoencoder codes the frame conditioned on it;
-the frame generator emits the reconstruction plus the feature stored
-for future references.
+`inter_step` runs block-matching motion against the newest reference,
+the motion autoencoder, cumulative reference flows, warping of the
+stored reference features, fusion into the context pyramid, the
+contextual autoencoder conditioned on it, and the frame generator,
+which emits the reconstruction plus the feature stored for future
+references. At its four latent points (mv-hyper, mv-main, ctx-hyper,
+ctx-main, in that order) a bottleneck decides what happens: `Noise`
+adds uniform noise and sums the differentiable rate (training),
+`Encode` rounds and range-codes the symbols, `Decode` reads them back.
+The encoder thus reconstructs through exactly the float operations the
+decoder runs, so both buffers hold bit-identical pixels, features and
+flows at every time step (drift-free by construction, asserted by
+tests).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .entropy import (
     row_support_bounds,
 )
 from .errors import CorruptStreamError, UsageError
+from .fusion import FusionMode
 from .metrics import psnr
 from .model import CodecModel
 from .motion import compose_flows, estimate_motion
@@ -49,11 +50,14 @@ from .tensor import Tensor, no_grad, warp_bilinear
 __all__ = [
     "Frame",
     "DecodedBuffer",
-    "build_reference_set",
     "reference_flows",
     "intra_frame",
-    "encode_mv",
-    "decode_mv",
+    "pixels_to_tensor",
+    "to_uint8",
+    "Noise",
+    "Encode",
+    "Decode",
+    "inter_step",
     "encode_frame",
     "decode_frame",
     "encode_sequence",
@@ -104,19 +108,8 @@ class DecodedBuffer:
     def frames(self) -> list[Frame]:
         return list(self._frames)
 
-    @property
-    def newest(self) -> Frame:
-        if not self._frames:
-            raise UsageError("decoded buffer is empty")
-        return self._frames[-1]
-
     def __len__(self) -> int:
         return len(self._frames)
-
-
-def build_reference_set(dpb: DecodedBuffer, n: int, policy: DuplicationPolicy) -> list[Frame]:
-    """The n references for the next frame, duplicated per `policy`."""
-    return pad_references(dpb.frames(), n, policy)
 
 
 def reference_flows(refs: list[Frame], newest_flow: Tensor) -> list[Tensor]:
@@ -147,7 +140,7 @@ def reference_flows(refs: list[Frame], newest_flow: Tensor) -> list[Tensor]:
 def ensure_feature(model: CodecModel, frame: Frame) -> Tensor:
     """The frame's stored feature, extracting and caching it if missing."""
     if frame.feature is None:
-        frame.feature = model.extract_feature(_pixels_to_tensor(frame.pixels))
+        frame.feature = model.extract_feature(pixels_to_tensor(frame.pixels))
     return frame.feature
 
 
@@ -159,97 +152,118 @@ def intra_frame(model: CodecModel, pixels: np.ndarray, index: int) -> Frame:
     return frame
 
 
-def _pixels_to_tensor(pixels: np.ndarray) -> Tensor:
+def pixels_to_tensor(pixels: np.ndarray) -> Tensor:
+    """uint8 pixels as floats in [0, 1]: the one pixel scale of the codec."""
     return Tensor(pixels.astype(np.float64) / 255.0)
 
 
-def _to_uint8(values: np.ndarray) -> np.ndarray:
+def to_uint8(values: np.ndarray) -> np.ndarray:
+    """Round [0, 1] floats to the stored uint8 reconstruction."""
     return np.clip(np.rint(values * 255.0), 0.0, 255.0).astype(np.uint8)
 
 
-def _block_size(h: int, w: int) -> int:
-    return 8 if (h % 8 == 0 and w % 8 == 0) else 4
+# -- bottlenecks: what happens at each latent point of the step ----------------
+
+class Noise:
+    """Training: additive U(-1/2, 1/2) noise; `bits` sums the rate terms."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.bits = Tensor(0.0)
+
+    def hyper(self, model: CodecModel, which: str, z: Tensor, shape) -> Tensor:
+        z_hat = z + Tensor(self.rng.uniform(-0.5, 0.5, size=z.shape))
+        self.bits = self.bits + model.factorized_rate_bits(z_hat, which)
+        return z_hat
+
+    def main(self, model: CodecModel, y: Tensor, mean: Tensor, scale: Tensor) -> Tensor:
+        y_hat = y + Tensor(self.rng.uniform(-0.5, 0.5, size=y.shape))
+        self.bits = self.bits + model.gaussian_rate_bits(y_hat, mean, scale)
+        return y_hat
 
 
-# -- latent coding helpers ----------------------------------------------------
-
-def _factorized_encode(model: CodecModel, which: str, z: Tensor) -> tuple[np.ndarray, bytes]:
+def _prior_rows(model: CodecModel, which: str, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Per-symbol (loc, scale) of the factorized prior over `shape`."""
     loc, scale = model.prior_params(which)
-    shape = z.shape
-    locs = np.broadcast_to(loc.data, shape).ravel()
-    scales = np.broadcast_to(scale.data, shape).ravel()
-    lo, hi = row_support_bounds(locs, scales)
-    sym = np.clip(np.rint(z.data.ravel()), lo, hi).astype(np.int64)
-    payload = range_encode(sym, build_logistic_cdf_rows(locs, scales))
-    return sym.reshape(shape), payload
+    return np.broadcast_to(loc.data, shape).ravel(), np.broadcast_to(scale.data, shape).ravel()
 
 
-def _factorized_decode(model: CodecModel, which: str, payload: bytes, shape: tuple[int, ...]) -> np.ndarray:
-    loc, scale = model.prior_params(which)
-    locs = np.broadcast_to(loc.data, shape).ravel()
-    scales = np.broadcast_to(scale.data, shape).ravel()
-    sym = range_decode(payload, build_logistic_cdf_rows(locs, scales), int(np.prod(shape)))
-    return np.asarray(sym, dtype=np.int64).reshape(shape)
+class Encode:
+    """Coding: round and range-code each latent; `payloads` collects them."""
+
+    def __init__(self) -> None:
+        self.payloads: list[bytes] = []
+
+    def hyper(self, model: CodecModel, which: str, z: Tensor, shape) -> Tensor:
+        locs, scales = _prior_rows(model, which, shape)
+        lo, hi = row_support_bounds(locs, scales)
+        sym = np.clip(np.rint(z.data.ravel()), lo, hi).astype(np.int64)
+        self.payloads.append(range_encode(sym, build_logistic_cdf_rows(locs, scales)))
+        return Tensor(sym.reshape(shape).astype(np.float64))
+
+    def main(self, model: CodecModel, y: Tensor, mean: Tensor, scale: Tensor) -> Tensor:
+        scales = scale.data.ravel()
+        zeros = np.zeros_like(scales)
+        lo, hi = row_support_bounds(zeros, scales)
+        sym = np.clip(np.rint((y.data - mean.data).ravel()), lo, hi).astype(np.int64)
+        self.payloads.append(range_encode(sym, build_gaussian_cdf_rows(zeros, scales)))
+        return Tensor(sym.reshape(mean.shape).astype(np.float64) + mean.data)
 
 
-def _gaussian_encode(y: Tensor, mean: Tensor, scale: Tensor) -> tuple[np.ndarray, bytes]:
-    resid = y.data - mean.data
-    scales = scale.data.ravel()
-    zeros = np.zeros_like(scales)
-    lo, hi = row_support_bounds(zeros, scales)
-    sym = np.clip(np.rint(resid.ravel()), lo, hi).astype(np.int64)
-    payload = range_encode(sym, build_gaussian_cdf_rows(zeros, scales))
-    return sym.reshape(y.shape), payload
+class Decode:
+    """Decoding: read each latent's symbols back from the frame's payloads."""
+
+    def __init__(self, chunk: FrameChunk):
+        self._payloads = iter(chunk.payloads())
+
+    def hyper(self, model: CodecModel, which: str, z: None, shape) -> Tensor:
+        locs, scales = _prior_rows(model, which, shape)
+        sym = range_decode(next(self._payloads), build_logistic_cdf_rows(locs, scales), locs.size)
+        return Tensor(np.asarray(sym, dtype=np.int64).reshape(shape).astype(np.float64))
+
+    def main(self, model: CodecModel, y: None, mean: Tensor, scale: Tensor) -> Tensor:
+        scales = scale.data.ravel()
+        sym = range_decode(next(self._payloads), build_gaussian_cdf_rows(np.zeros_like(scales), scales), scales.size)
+        return Tensor(np.asarray(sym, dtype=np.int64).reshape(mean.shape).astype(np.float64) + mean.data)
 
 
-def _gaussian_decode(payload: bytes, mean_shape: tuple[int, ...], scale: Tensor) -> np.ndarray:
-    scales = scale.data.ravel()
-    zeros = np.zeros_like(scales)
-    sym = range_decode(payload, build_gaussian_cdf_rows(zeros, scales), scales.size)
-    return np.asarray(sym, dtype=np.int64).reshape(mean_shape)
+# -- the inter-frame step -------------------------------------------------------
 
+def inter_step(model: CodecModel, x: Optional[np.ndarray], refs: list[Frame], bottleneck) -> tuple[Tensor, Tensor, Tensor]:
+    """Code one inter frame against `refs` (oldest to newest, padded).
 
-# -- motion coding --------------------------------------------------------------
+    `x` holds the frame's uint8 pixels, or None when decoding: then
+    neither motion search nor the analysis transforms run, and the
+    bottleneck supplies every latent. Returns (x_hat, feature, v_hat):
+    the float reconstruction, the feature stored for later references,
+    and the decoded flow to the newest reference.
+    """
+    h, w = refs[-1].hw
+    lhw, zhw = model.latent_hw(h, w), model.hyper_hw(h, w)
+    x_t = y_v = z_v = y = z = None
+    if x is not None:
+        if x.shape[1:] != (h, w):
+            raise UsageError(f"frame size {x.shape[1]}x{x.shape[2]} does not match references {h}x{w}")
+        x_t = pixels_to_tensor(x)
+        block = 8 if (h % 8 == 0 and w % 8 == 0) else 4
+        flow = estimate_motion(x_t.data, pixels_to_tensor(refs[-1].pixels).data, block=block)
+        y_v = model.mv_analyze(Tensor(flow))
+        z_v = model.mv_hyper_analyze(y_v)
+    z_v_hat = bottleneck.hyper(model, "mv", z_v, (model.config.mv_hyper, *zhw))
+    mean, scale = model.mv_hyper_synthesize(z_v_hat, lhw)
+    v_hat = model.mv_synthesize(bottleneck.main(model, y_v, mean, scale), (h, w))
 
-def encode_mv(model: CodecModel, flow: np.ndarray, frame_hw: tuple[int, int]) -> tuple[tuple[bytes, bytes], Tensor]:
-    """Code a motion field; returns ((hyper, main) payloads, decoded flow)."""
-    with no_grad():
-        lhw = model.latent_hw(*frame_hw)
-        y = model.mv_analyze(Tensor(np.asarray(flow, dtype=np.float64)))
-        z = model.mv_hyper_analyze(y)
-        z_sym, hyper_payload = _factorized_encode(model, "mv", z)
-        mean, scale = model.mv_hyper_synthesize(Tensor(z_sym.astype(np.float64)), lhw)
-        y_sym, main_payload = _gaussian_encode(y, mean, scale)
-        v_hat = model.mv_synthesize(Tensor(y_sym.astype(np.float64) + mean.data), frame_hw)
-    return (hyper_payload, main_payload), v_hat
-
-
-def decode_mv(model: CodecModel, payloads: tuple[bytes, bytes], frame_hw: tuple[int, int]) -> Tensor:
-    with no_grad():
-        h, w = frame_hw
-        lh, lw = model.latent_hw(h, w)
-        zh, zw = model.hyper_hw(h, w)
-        hyper_payload, main_payload = payloads
-        z_sym = _factorized_decode(model, "mv", hyper_payload, (model.config.mv_hyper, zh, zw))
-        mean, scale = model.mv_hyper_synthesize(Tensor(z_sym.astype(np.float64)), (lh, lw))
-        y_sym = _gaussian_decode(main_payload, mean.shape, scale)
-        return model.mv_synthesize(Tensor(y_sym.astype(np.float64) + mean.data), frame_hw)
-
-
-# -- frame coding -----------------------------------------------------------------
-
-def _build_context(model: CodecModel, dpb: DecodedBuffer, policy: DuplicationPolicy, v_hat: Tensor):
-    refs = build_reference_set(dpb, model.config.n_ref, policy)
     flows = reference_flows(refs, v_hat)
-    warped = [warp_bilinear(ensure_feature(model, ref), fl) for ref, fl in zip(refs, flows)]
-    return model.fusion(warped)
+    ctx = model.fusion([warp_bilinear(ensure_feature(model, ref), fl) for ref, fl in zip(refs, flows)])
 
-
-def _reconstruct_inter(model: CodecModel, ctx, mean: Tensor, y_sym: np.ndarray, frame_hw, index: int, v_hat: Tensor) -> Frame:
-    y_hat = Tensor(y_sym.astype(np.float64) + mean.data)
-    f_hat = model.ctx_synthesize(y_hat, ctx, frame_hw)
+    if x_t is not None:
+        y = model.ctx_analyze(x_t, ctx)
+        z = model.ctx_hyper_analyze(y)
+    z_hat = bottleneck.hyper(model, "ctx", z, (model.config.ctx_hyper, *zhw))
+    mean, scale = model.ctx_hyper_synthesize(z_hat, ctx, lhw)
+    f_hat = model.ctx_synthesize(bottleneck.main(model, y, mean, scale), ctx, (h, w))
     x_hat, feature = model.generate_frame(f_hat, ctx.c0)
-    return Frame(_to_uint8(x_hat.data), index, feature=feature, flow=v_hat)
+    return x_hat, feature, v_hat
 
 
 def encode_frame(
@@ -260,27 +274,11 @@ def encode_frame(
     policy: DuplicationPolicy,
 ) -> tuple[FrameChunk, Frame]:
     """Code one inter frame against the decoded buffer state."""
+    refs = pad_references(dpb.frames(), model.config.n_ref, policy)
+    coder = Encode()
     with no_grad():
-        h, w = int(pixels.shape[1]), int(pixels.shape[2])
-        lhw = model.latent_hw(h, w)
-        newest = dpb.newest
-        if newest.hw != (h, w):
-            raise UsageError(f"frame size {h}x{w} does not match references {newest.hw}")
-        flow = estimate_motion(
-            pixels.astype(np.float64) / 255.0,
-            newest.pixels.astype(np.float64) / 255.0,
-            block=_block_size(h, w),
-        )
-        (mv_hyper, mv_main), v_hat = encode_mv(model, flow, (h, w))
-        ctx = _build_context(model, dpb, policy, v_hat)
-        x = _pixels_to_tensor(pixels)
-        y = model.ctx_analyze(x, ctx)
-        z = model.ctx_hyper_analyze(y)
-        z_sym, ctx_hyper = _factorized_encode(model, "ctx", z)
-        mean, scale = model.ctx_hyper_synthesize(Tensor(z_sym.astype(np.float64)), ctx, lhw)
-        y_sym, ctx_main = _gaussian_encode(y, mean, scale)
-        recon = _reconstruct_inter(model, ctx, mean, y_sym, (h, w), index, v_hat)
-    return FrameChunk(mv_hyper, mv_main, ctx_hyper, ctx_main), recon
+        x_hat, feature, v_hat = inter_step(model, pixels, refs, coder)
+    return FrameChunk(*coder.payloads), Frame(to_uint8(x_hat.data), index, feature=feature, flow=v_hat)
 
 
 def decode_frame(
@@ -292,16 +290,12 @@ def decode_frame(
     frame_hw: tuple[int, int],
 ) -> Frame:
     """Mirror of encode_frame; requires the encoder's buffer state."""
+    refs = pad_references(dpb.frames(), model.config.n_ref, policy)
+    if refs[-1].hw != tuple(frame_hw):
+        raise UsageError(f"frame size {frame_hw} does not match references {refs[-1].hw}")
     with no_grad():
-        h, w = frame_hw
-        lhw = model.latent_hw(h, w)
-        zh, zw = model.hyper_hw(h, w)
-        v_hat = decode_mv(model, (chunk.mv_hyper, chunk.mv_main), (h, w))
-        ctx = _build_context(model, dpb, policy, v_hat)
-        z_sym = _factorized_decode(model, "ctx", chunk.ctx_hyper, (model.config.ctx_hyper, zh, zw))
-        mean, scale = model.ctx_hyper_synthesize(Tensor(z_sym.astype(np.float64)), ctx, lhw)
-        y_sym = _gaussian_decode(chunk.ctx_main, mean.shape, scale)
-        return _reconstruct_inter(model, ctx, mean, y_sym, (h, w), index, v_hat)
+        x_hat, feature, v_hat = inter_step(model, None, refs, Decode(chunk))
+    return Frame(to_uint8(x_hat.data), index, feature=feature, flow=v_hat)
 
 
 # -- sequence coding ------------------------------------------------------------------
@@ -396,25 +390,31 @@ def decode_sequence(
     """Decode a bitstream; refuses mismatched weights/config/policy."""
     reader = BitstreamReader(data)
     header = reader.header
+    h, w = header.height, header.width
+    try:
+        model.latent_hw(h, w)
+        policy = DuplicationPolicy.from_wire(header.policy_wire)
+        fusion = FusionMode.from_wire(header.fusion_wire)
+    except UsageError as err:
+        raise CorruptStreamError(f"invalid stream header: {err}") from None
     weights_hash = model.prepare_for_coding()
     if header.weights_hash != weights_hash:
         raise UsageError(
             f"weights hash mismatch: stream was coded with {header.weights_hash:016x}, "
             f"model is {weights_hash:016x}"
         )
-    if header.fusion_wire != model.config.fusion.wire_value:
-        raise UsageError("fusion mode recorded in the stream does not match this model")
+    if fusion is not model.config.fusion:
+        raise UsageError(
+            f"stream was coded with {fusion.value} fusion, model uses {model.config.fusion.value}"
+        )
     if header.n_ref != model.config.n_ref:
         raise UsageError(
             f"stream uses {header.n_ref} references, model is built for {model.config.n_ref}"
         )
-    policy = DuplicationPolicy.from_wire(header.policy_wire)
     if expected_policy is not None and expected_policy is not policy:
         raise UsageError(
             f"stream header says policy {policy.value!r}, refusing requested {expected_policy.value!r}"
         )
-    h, w = header.height, header.width
-    model.latent_hw(h, w)
     dpb = DecodedBuffer(capacity=model.config.n_ref)
     out: list[np.ndarray] = []
     index = 0

@@ -1,7 +1,6 @@
 """Gradient verification suite: every tensor op against central finite
 differences, the composed fusion front-end, and the full coding
-pipeline at toy size. Used by both the CLI's grad-check subcommand and
-the acceptance tests.
+pipeline at toy size. `tests/test_gradsuite.py` runs all three.
 """
 
 from __future__ import annotations
@@ -124,9 +123,13 @@ def pipeline_check(
 ) -> CheckResult:
     """Full coding pipeline loss on a 16x16, 4-channel model.
 
-    Analytic parameter gradients of one training-style loss (with frozen
-    quantization noise and a one-frame rollout so block matching stays
-    constant) are compared against central finite differences. For every
+    Analytic parameter gradients of the training loss, which runs the
+    codec's own inter step (with frozen quantization noise and a
+    one-frame rollout so block matching stays constant), are compared
+    against central finite differences. Biases are drawn away from zero
+    (random sign times U(0.05, 0.15)): with zero biases and the window's
+    zero block-matched flow, pre-activations would sit exactly on
+    leaky_relu's kink, where central differences are one-sided. For every
     parameter tensor the largest-magnitude gradient coordinates are
     checked, so each layer's backward rule is exercised; coordinates
     with near-zero gradients are excluded by construction because their
@@ -147,6 +150,11 @@ def pipeline_check(
         ctx_hyper=3,
     )
     model = CodecModel(config, seed=seed)
+    bias_rng = np.random.default_rng(seed + 5)
+    for name in model.store.names():
+        if name.endswith(".b"):
+            b = model.store[name].data
+            b[...] = bias_rng.choice([-1.0, 1.0], size=b.shape) * bias_rng.uniform(0.05, 0.15, size=b.shape)
     window = generate_sequence(width=16, height=16, n_frames=2, seed=seed + 3)
 
     def loss_value() -> Tensor:

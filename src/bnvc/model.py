@@ -155,8 +155,8 @@ class CodecModel:
     # -- shapes ---------------------------------------------------------
 
     def latent_hw(self, h: int, w: int) -> tuple[int, int]:
-        if h % 4 or w % 4:
-            raise UsageError(f"frame size must be divisible by 4, got {h}x{w}")
+        if h <= 0 or w <= 0 or h % 4 or w % 4:
+            raise UsageError(f"frame size must be a positive multiple of 4, got {h}x{w}")
         return h // 4, w // 4
 
     def hyper_hw(self, h: int, w: int) -> tuple[int, int]:

@@ -76,10 +76,16 @@ class ParamStore:
         self._hash_cache = None
 
     def snap_to_f32(self) -> None:
-        """Round every parameter through float32 in place."""
+        """Round every parameter through float32 in place.
+
+        The cached hash survives when no value changed, so coding an
+        unchanged model hashes its weights once.
+        """
         for t in self._params.values():
-            t.data[...] = t.data.astype(np.float32).astype(np.float64)
-        self._hash_cache = None
+            snapped = t.data.astype(np.float32).astype(np.float64)
+            if not np.array_equal(snapped, t.data):
+                t.data[...] = snapped
+                self._hash_cache = None
 
     def to_f32_bytes(self) -> bytes:
         return b"".join(t.data.astype("<f4").tobytes() for t in self._params.values())

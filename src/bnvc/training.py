@@ -1,12 +1,14 @@
 """Toy end-to-end trainer.
 
 Each step samples a window of one intra frame plus a short rollout of
-inter frames, runs the full coding pipeline with quantization relaxed
-to additive uniform noise, and minimizes sum_t(lambda * MSE_t +
-bits_t / pixels) by Adam. The rollout buffer carries live tensors, so
-gradients flow through stored features and composed flows across the
-whole window (motion estimation itself is integer block matching and
-enters as a constant).
+inter frames, runs each inter frame through the codec's `inter_step`
+with the `Noise` bottleneck (quantization relaxed to additive uniform
+noise), and minimizes sum_t(lambda * MSE_t + bits_t / pixels) by Adam.
+The rollout buffer holds codec `Frame`s: uint8 pixels for motion search,
+exactly as when coding, plus live feature and flow tensors, so gradients
+flow through stored features and composed flows across the whole window
+(motion search itself is integer block matching and enters as a
+constant).
 """
 
 from __future__ import annotations
@@ -17,13 +19,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codec import encode_sequence, reference_flows
+from .codec import DecodedBuffer, Frame, Noise, encode_sequence, inter_step, pixels_to_tensor, to_uint8
 from .errors import BnvcError, UsageError
-from .metrics import psnr as psnr_metric
 from .model import LAMBDA_VALUES, CodecModel
-from .motion import estimate_motion
 from .policies import DuplicationPolicy, pad_references
-from .tensor import Tensor, mean_all, warp_bilinear
+from .tensor import Tensor, mean_all
 
 __all__ = [
     "TrainingConfig",
@@ -115,10 +115,6 @@ class TrainingLog:
     def add(self, step: int, loss: float, bpp: float, mse: float) -> None:
         self.entries.append({"step": step, "loss": loss, "bpp": bpp, "mse": mse})
 
-    def smoothed_loss(self, window: int = 100) -> list[float]:
-        losses = [e["loss"] for e in self.entries]
-        return [float(np.mean(losses[max(0, i - window + 1) : i + 1])) for i in range(len(losses))]
-
     def window_mean(self, start: int, stop: int) -> float:
         vals = [e["loss"] for e in self.entries[start:stop]]
         return float(np.mean(vals))
@@ -128,18 +124,6 @@ class TrainingLog:
         for e in self.entries:
             lines.append(f"{e['step']},{e['loss']:.10g},{e['bpp']:.10g},{e['mse']:.10g}")
         return "\n".join(lines) + "\n"
-
-
-@dataclass
-class _RolloutEntry:
-    x_rec: Tensor
-    feature: Tensor
-    flow: Optional[Tensor]
-    index: int
-
-
-def _noise(rng: np.random.Generator, shape) -> Tensor:
-    return Tensor(rng.uniform(-0.5, 0.5, size=shape))
 
 
 def rollout_loss(
@@ -155,12 +139,8 @@ def rollout_loss(
     """
     n_frames = window.shape[0]
     h, w = int(window.shape[2]), int(window.shape[3])
-    lhw = model.latent_hw(h, w)
-    block = 8 if (h % 8 == 0 and w % 8 == 0) else 4
-    pixel_scale = 1.0 / 255.0
-
-    x0 = Tensor(window[0].astype(np.float64) * pixel_scale)
-    buffer: list[_RolloutEntry] = [_RolloutEntry(x0, model.extract_feature(x0), None, 0)]
+    dpb = DecodedBuffer(capacity=model.config.n_ref)
+    dpb.push(Frame(window[0], 0))
 
     total: Optional[Tensor] = None
     bits_sum = 0.0
@@ -168,45 +148,16 @@ def rollout_loss(
     inv_pixels = Tensor(1.0 / (h * w))
     lam_t = Tensor(float(lam))
     for t in range(1, n_frames):
-        x = Tensor(window[t].astype(np.float64) * pixel_scale)
-        newest = buffer[-1]
-        flow_np = estimate_motion(x.data, newest.x_rec.data, block=block)
-
-        y_v = model.mv_analyze(Tensor(flow_np))
-        z_v = model.mv_hyper_analyze(y_v)
-        z_v_noisy = z_v + _noise(rng, z_v.shape)
-        rate = model.factorized_rate_bits(z_v_noisy, "mv")
-        mean_v, scale_v = model.mv_hyper_synthesize(z_v_noisy, lhw)
-        y_v_noisy = y_v + _noise(rng, y_v.shape)
-        rate = rate + model.gaussian_rate_bits(y_v_noisy, mean_v, scale_v)
-        v_hat = model.mv_synthesize(y_v_noisy, (h, w))
-
-        refs = pad_references(buffer, model.config.n_ref, policy)
-        flows = reference_flows(refs, v_hat)  # type: ignore[arg-type]
-        warped = [warp_bilinear(ref.feature, fl) for ref, fl in zip(refs, flows)]
-        ctx = model.fusion(warped)
-
-        y = model.ctx_analyze(x, ctx)
-        z = model.ctx_hyper_analyze(y)
-        z_noisy = z + _noise(rng, z.shape)
-        rate = rate + model.factorized_rate_bits(z_noisy, "ctx")
-        mean_c, scale_c = model.ctx_hyper_synthesize(z_noisy, ctx, lhw)
-        y_noisy = y + _noise(rng, y.shape)
-        rate = rate + model.gaussian_rate_bits(y_noisy, mean_c, scale_c)
-
-        f_hat = model.ctx_synthesize(y_noisy, ctx, (h, w))
-        x_hat, feature = model.generate_frame(f_hat, ctx.c0)
-        diff = x - x_hat
+        noise = Noise(rng)
+        refs = pad_references(dpb.frames(), model.config.n_ref, policy)
+        x_hat, feature, v_hat = inter_step(model, window[t], refs, noise)
+        diff = pixels_to_tensor(window[t]) - x_hat
         dist = mean_all(diff * diff)
-
-        loss_t = lam_t * dist + rate * inv_pixels
+        loss_t = lam_t * dist + noise.bits * inv_pixels
         total = loss_t if total is None else total + loss_t
-        bits_sum += float(rate.data)
+        bits_sum += float(noise.bits.data)
         mse_sum += float(dist.data)
-
-        buffer.append(_RolloutEntry(x_hat, feature, v_hat, t))
-        if len(buffer) > model.config.n_ref:
-            buffer = buffer[-model.config.n_ref :]
+        dpb.push(Frame(to_uint8(x_hat.data), t, feature=feature, flow=v_hat))
 
     n_inter = n_frames - 1
     return total, bits_sum / (n_inter * h * w), mse_sum / n_inter

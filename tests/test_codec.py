@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from bnvc.bitstream import BitstreamReader, FrameChunk
+import bnvc.codec as codec
 from bnvc.codec import (
+    Decode,
     DecodedBuffer,
+    Encode,
     EncodeStats,
     Frame,
-    build_reference_set,
     decode_frame,
-    decode_mv,
     decode_sequence,
     encode_frame,
-    encode_mv,
     encode_sequence,
+    inter_step,
     intra_frame,
     reference_flows,
 )
@@ -24,9 +25,9 @@ from bnvc.entropy import GaussianModel, LogisticModel, estimate_bits
 from bnvc.errors import BnvcError, CorruptStreamError, UsageError
 from bnvc.fusion import FusionMode
 from bnvc.model import CodecModel, ModelConfig
-from bnvc.policies import DuplicationPolicy
+from bnvc.policies import DuplicationPolicy, pad_references
 from bnvc.synth import generate_sequence
-from bnvc.tensor import Tensor
+from bnvc.tensor import Tensor, no_grad
 
 NEAR = DuplicationPolicy.NEAR
 FURTHER = DuplicationPolicy.FURTHER
@@ -50,7 +51,7 @@ class TestReferenceSet:
         f1 = _frame(0)
         dpb.push(f1)
         for policy in (NEAR, FURTHER):
-            refs = build_reference_set(dpb, 4, policy)
+            refs = pad_references(dpb.frames(), 4, policy)
             assert refs == [f1, f1, f1, f1]
 
     def test_two_frames_policies_differ(self):
@@ -58,20 +59,20 @@ class TestReferenceSet:
         f1, f2 = _frame(0), _frame(1)
         dpb.push(f1)
         dpb.push(f2)
-        assert build_reference_set(dpb, 4, NEAR) == [f1, f2, f2, f2]
-        assert build_reference_set(dpb, 4, FURTHER) == [f1, f1, f1, f2]
+        assert pad_references(dpb.frames(), 4, NEAR) == [f1, f2, f2, f2]
+        assert pad_references(dpb.frames(), 4, FURTHER) == [f1, f1, f1, f2]
 
     def test_full_buffer_no_duplication(self):
         dpb = DecodedBuffer(4)
         frames = [_frame(i) for i in range(4)]
         for f in frames:
             dpb.push(f)
-        assert build_reference_set(dpb, 4, NEAR) == frames
-        assert build_reference_set(dpb, 4, FURTHER) == frames
+        assert pad_references(dpb.frames(), 4, NEAR) == frames
+        assert pad_references(dpb.frames(), 4, FURTHER) == frames
 
     def test_empty_buffer_rejected(self):
         with pytest.raises(UsageError):
-            build_reference_set(DecodedBuffer(4), 4, NEAR)
+            pad_references(DecodedBuffer(4).frames(), 4, NEAR)
 
     def test_buffer_capacity_and_ordering(self):
         dpb = DecodedBuffer(3)
@@ -90,7 +91,7 @@ class TestReferenceFlows:
             f.flow = Tensor(np.full((2, 32, 32), float(i)))
             dpb.push(f)
         v = Tensor(np.random.default_rng(0).normal(size=(2, 32, 32)))
-        flows = reference_flows(build_reference_set(dpb, 4, NEAR), v)
+        flows = reference_flows(pad_references(dpb.frames(), 4, NEAR), v)
         assert flows[-1] is v
 
     def test_duplicates_reuse_cumulative_flow(self):
@@ -100,11 +101,11 @@ class TestReferenceFlows:
         dpb.push(f1)
         dpb.push(f2)
         v = Tensor(np.random.default_rng(2).normal(size=(2, 32, 32)) * 0.5)
-        near_flows = reference_flows(build_reference_set(dpb, 4, NEAR), v)
+        near_flows = reference_flows(pad_references(dpb.frames(), 4, NEAR), v)
         # [f1, f2, f2, f2]: the duplicated f2 entries share the newest flow
         assert near_flows[1] is v and near_flows[2] is v and near_flows[3] is v
         assert near_flows[0] is not v
-        further_flows = reference_flows(build_reference_set(dpb, 4, FURTHER), v)
+        further_flows = reference_flows(pad_references(dpb.frames(), 4, FURTHER), v)
         # [f1, f1, f1, f2]: all three f1 entries share one composed flow
         assert further_flows[0] is further_flows[1] is further_flows[2]
         np.testing.assert_array_equal(near_flows[0].data, further_flows[0].data)
@@ -117,56 +118,97 @@ class TestReferenceFlows:
         p1.flow = Tensor(np.zeros((2, 32, 32)))
         dpb.push(p1)
         v = Tensor(np.full((2, 32, 32), 0.25))
-        flows = reference_flows(build_reference_set(dpb, 4, FURTHER), v)
+        flows = reference_flows(pad_references(dpb.frames(), 4, FURTHER), v)
         np.testing.assert_allclose(flows[0].data, 0.25, rtol=0, atol=1e-12)
 
 
+class _Recorder:
+    """Bottleneck wrapper recording (output, mean, scale) at each latent point."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.outputs = []
+
+    def hyper(self, model, which, z, shape):
+        out = self.inner.hyper(model, which, z, shape)
+        self.outputs.append((out.data, None, None))
+        return out
+
+    def main(self, model, y, mean, scale):
+        out = self.inner.main(model, y, mean, scale)
+        self.outputs.append((out.data, mean.data, scale.data))
+        return out
+
+
+def _moved_frames(seed):
+    """A noise reference and a frame whose quadrants moved by different amounts."""
+    ref = np.random.default_rng(seed).integers(0, 256, size=(3, 32, 32), dtype=np.uint8)
+    cur = ref.copy()
+    shifts = {(0, 0): (1, 2), (0, 16): (-2, 0), (16, 0): (3, -1), (16, 16): (0, -3)}
+    for (i, j), shift in shifts.items():
+        cur[:, i : i + 16, j : j + 16] = np.roll(ref, shift, axis=(1, 2))[:, i : i + 16, j : j + 16]
+    return ref, cur
+
+
+def _encode_step(model, ref, cur, coder):
+    refs = pad_references([intra_frame(model, ref, 0)], model.config.n_ref, NEAR)
+    with no_grad():
+        _, _, v_hat = inter_step(model, cur, refs, coder)
+    return v_hat
+
+
 class TestMotionCoding:
+    """The motion half of the inter step: search, motion AE, mv payloads."""
+
     def test_round_trip_bit_exact(self):
         model = _model()
         model.prepare_for_coding()
-        rng = np.random.default_rng(3)
-        flow = rng.normal(scale=1.5, size=(2, 32, 32))
-        payloads, v_hat_enc = encode_mv(model, flow, (32, 32))
-        v_hat_dec = decode_mv(model, payloads, (32, 32))
+        ref, cur = _moved_frames(3)
+        coder = Encode()
+        v_hat_enc = _encode_step(model, ref, cur, coder)
+        refs = pad_references([intra_frame(model, ref, 0)], 4, NEAR)
+        with no_grad():
+            _, _, v_hat_dec = inter_step(model, None, refs, Decode(FrameChunk(*coder.payloads)))
         assert v_hat_enc.data.tobytes() == v_hat_dec.data.tobytes()
 
     def test_payload_deterministic(self):
         model = _model()
         model.prepare_for_coding()
-        flow = np.random.default_rng(4).normal(size=(2, 32, 32))
-        p1, _ = encode_mv(model, flow, (32, 32))
-        p2, _ = encode_mv(model, flow, (32, 32))
-        assert p1 == p2
+        ref, cur = _moved_frames(4)
+        c1, c2 = Encode(), Encode()
+        _encode_step(model, ref, cur, c1)
+        _encode_step(model, ref, cur, c2)
+        assert c1.payloads[:2] == c2.payloads[:2]
 
-    def test_zero_field_deterministic_minimal(self):
+    def test_zero_field_deterministic_minimal(self, monkeypatch):
         model = _model()
         model.prepare_for_coding()
-        payloads, v_hat = encode_mv(model, np.zeros((2, 32, 32)), (32, 32))
-        assert len(payloads[0]) >= 6 and len(payloads[1]) >= 6
+        ref, _ = _moved_frames(5)
+        real, flows = codec.estimate_motion, []
+        monkeypatch.setattr(codec, "estimate_motion", lambda *a, **kw: flows.append(real(*a, **kw)) or flows[-1])
+        coder = Encode()
+        v_hat = _encode_step(model, ref, ref.copy(), coder)
+        assert len(flows) == 1 and not flows[0].any()
+        assert len(coder.payloads[0]) >= 6 and len(coder.payloads[1]) >= 6
         assert np.all(np.isfinite(v_hat.data))
 
     def test_rate_within_bound_of_estimate(self):
         model = _model()
         model.prepare_for_coding()
-        rng = np.random.default_rng(5)
-        flow = rng.normal(scale=2.0, size=(2, 32, 32))
-        from bnvc.tensor import no_grad
-
-        with no_grad():
-            y = model.mv_analyze(Tensor(flow))
-            z = model.mv_hyper_analyze(y)
-            from bnvc.codec import _factorized_encode, _gaussian_encode
-
-            z_sym, hyper_payload = _factorized_encode(model, "mv", z)
-            mean, scale = model.mv_hyper_synthesize(Tensor(z_sym.astype(np.float64)), model.latent_hw(32, 32))
-            y_sym, main_payload = _gaussian_encode(y, mean, scale)
+        ref, cur = _moved_frames(6)
+        coder = _Recorder(Encode())
+        _encode_step(model, ref, cur, coder)
+        hyper_payload, main_payload = coder.inner.payloads[:2]
+        z_sym = coder.outputs[0][0]
+        y_hat, mean, scale = coder.outputs[1]
+        y_sym = np.rint(y_hat - mean)
         loc, pscale = model.prior_params("mv")
         hyper_ideal = estimate_bits(
             z_sym.ravel(),
             LogisticModel(np.broadcast_to(loc.data, z_sym.shape).ravel(), np.broadcast_to(pscale.data, z_sym.shape).ravel()),
         )
-        main_ideal = estimate_bits(y_sym.ravel(), GaussianModel(np.zeros(y_sym.size), scale.data.ravel()))
+        main_ideal = estimate_bits(y_sym.ravel(), GaussianModel(np.zeros(y_sym.size), scale.ravel()))
+        assert np.any(y_sym != 0)
         assert 8 * len(hyper_payload) <= hyper_ideal + 64
         assert 8 * len(main_payload) <= main_ideal + 64
 
@@ -321,6 +363,45 @@ class TestSequenceRoundTrip:
         bad[23 + 5 + 100] ^= 0x10  # inside the intra raw block
         with pytest.raises(BnvcError):
             decode_sequence(bytes(bad), model)
+
+
+def _patched(data, offset, value):
+    bad = bytearray(data)
+    bad[offset : offset + len(value)] = value
+    return bytes(bad)
+
+
+class TestHeaderFields:
+    """Invalid header bytes are stream corruption; a valid header naming
+    another model is a caller mistake. Offsets follow bitstream's layout:
+    width u16 at 5, policy u8 at 10, fusion u8 at 11."""
+
+    @pytest.fixture(scope="class")
+    def coded(self):
+        model = _model()
+        data, _, _ = encode_sequence(_sequence(seed=23, n=2), model, NEAR)
+        return model, data
+
+    def test_invalid_policy_byte_is_corrupt(self, coded):
+        model, data = coded
+        with pytest.raises(CorruptStreamError, match="policy byte 74"):
+            decode_sequence(_patched(data, 10, bytes([74])), model)
+
+    @pytest.mark.parametrize("width", [30, 0])
+    def test_invalid_width_is_corrupt(self, coded, width):
+        model, data = coded
+        with pytest.raises(CorruptStreamError, match="positive multiple of 4"):
+            decode_sequence(_patched(data, 5, width.to_bytes(2, "little")), model)
+
+    def test_invalid_fusion_byte_is_corrupt(self, coded):
+        model, data = coded
+        with pytest.raises(CorruptStreamError, match="fusion mode byte 9"):
+            decode_sequence(_patched(data, 11, bytes([9])), model)
+
+    def test_valid_other_fusion_mode_is_usage_error(self, coded):
+        model, data = coded
+        with pytest.raises(UsageError, match="together fusion"):
+            decode_sequence(_patched(data, 11, bytes([FusionMode.TOGETHER.wire_value])), model)
 
 
 class TestSaveLoadRoundTrip:

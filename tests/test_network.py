@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+import bnvc.network as network
+from bnvc.codec import encode_sequence
 from bnvc.errors import UsageError
+from bnvc.model import CodecModel, ModelConfig
 from bnvc.network import Conv, ParamStore, ResBlock, fnv1a64, read_manifest, save_weights
+from bnvc.synth import generate_sequence
 from bnvc.tensor import Tensor
+from bnvc.training import Adam
 
 
 class TestFnv1a64:
@@ -43,6 +48,30 @@ class TestParamStore:
         store.snap_to_f32()
         assert store.weights_hash() == h1
         np.testing.assert_array_equal(store["p"].data, snapped)
+
+    def test_hash_recomputed_only_after_weights_change(self, monkeypatch, tmp_path):
+        real, calls = network.fnv1a64, []
+        monkeypatch.setattr(network, "fnv1a64", lambda data: calls.append(1) or real(data))
+        model = CodecModel(ModelConfig.toy(), seed=0)
+        seq = generate_sequence(width=16, height=16, n_frames=1, seed=0)
+        first, _, _ = encode_sequence(seq, model)
+        second, _, _ = encode_sequence(seq, model)
+        assert len(calls) == 1 and second == first
+
+        params = model.store.tensors()
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        Adam(params).step()
+        model.store.mark_dirty()
+        encode_sequence(seq, model)
+        assert len(calls) == 2
+
+        model.save(tmp_path / "w.json")
+        manifest = read_manifest(tmp_path / "w.json")
+        model.store.load(tmp_path / "w.bin", manifest["params"])
+        encode_sequence(seq, model)
+        assert len(calls) == 3
+        assert model.store.weights_hash() == real(model.store.to_f32_bytes())
 
     def test_save_load_round_trip(self, tmp_path):
         store = ParamStore()

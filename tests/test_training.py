@@ -7,6 +7,8 @@ suite; these stay short.
 import numpy as np
 import pytest
 
+import bnvc.codec as codec
+import bnvc.training as training
 from bnvc.errors import UsageError
 from bnvc.model import CodecModel, ModelConfig
 from bnvc.policies import DuplicationPolicy
@@ -17,6 +19,7 @@ from bnvc.training import (
     TrainingDiverged,
     evaluate_coding,
     per_frame_distortion,
+    rollout_loss,
     train_toy,
 )
 from bnvc.tensor import Tensor
@@ -93,6 +96,25 @@ class TestTrainToy:
     def test_empty_dataset_rejected(self):
         with pytest.raises(UsageError):
             train_toy(_toy_model(), [], TrainingConfig(steps=1))
+
+
+class TestRolloutParity:
+    def test_motion_searched_against_stored_uint8_reference(self, dataset, monkeypatch):
+        """Training searches motion against the rounded reference the codec stores."""
+        refs = []
+
+        def spy(real):
+            return lambda cur, ref, **kw: refs.append(np.array(ref)) or real(cur, ref, **kw)
+
+        for mod in (codec, training):
+            if hasattr(mod, "estimate_motion"):
+                monkeypatch.setattr(mod, "estimate_motion", spy(mod.estimate_motion))
+        model = _toy_model(seed=2)
+        rollout_loss(model, dataset[0][:4], np.random.default_rng(0), 1024.0, DuplicationPolicy.NEAR)
+        assert len(refs) == 3
+        for ref in refs:
+            assert ref.min() >= 0.0 and ref.max() <= 1.0
+            np.testing.assert_array_equal(np.rint(ref * 255.0) / 255.0, ref)
 
 
 class TestEvaluation:
