@@ -14,6 +14,11 @@ Layout (all integers little-endian):
 The crc field is CRC-32 (zlib) of the record body after the crc itself;
 it exists so that any single corrupted payload byte is detected before
 entropy decoding rather than silently decoding into garbage symbols.
+
+Version 2 payloads are coded with table-indexed CDFs: main latents
+against the shared scale-indexed Gaussian tables, hyper latents against
+one prior table per channel (see `entropy`). A stream of any other
+version is rejected as corrupt.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .errors import CorruptStreamError
 __all__ = ["MAGIC", "VERSION", "StreamHeader", "FrameChunk", "BitstreamWriter", "BitstreamReader"]
 
 MAGIC = b"BNVC"
-VERSION = 1
+VERSION = 2
 
 _HEADER_FMT = "<4sBHHBBBHBQ"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)

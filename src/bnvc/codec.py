@@ -32,13 +32,7 @@ from .bitstream import (
     FrameChunk,
     StreamHeader,
 )
-from .entropy import (
-    build_gaussian_cdf_rows,
-    build_logistic_cdf_rows,
-    range_decode,
-    range_encode,
-    row_support_bounds,
-)
+from .entropy import QuantizedCdf, build_logistic_cdf_rows, gaussian_tables, range_decode, range_encode
 from .errors import CorruptStreamError, UsageError
 from .fusion import FusionMode
 from .metrics import psnr
@@ -182,10 +176,11 @@ class Noise:
         return y_hat
 
 
-def _prior_rows(model: CodecModel, which: str, shape) -> tuple[np.ndarray, np.ndarray]:
-    """Per-symbol (loc, scale) of the factorized prior over `shape`."""
+def _prior_tables(model: CodecModel, which: str, shape) -> list[QuantizedCdf]:
+    """The factorized prior's table of each symbol: one per channel, repeated over H*W."""
     loc, scale = model.prior_params(which)
-    return np.broadcast_to(loc.data, shape).ravel(), np.broadcast_to(scale.data, shape).ravel()
+    per_channel = build_logistic_cdf_rows(loc.data.ravel(), scale.data.ravel())
+    return [table for table in per_channel for _ in range(shape[1] * shape[2])]
 
 
 class Encode:
@@ -194,20 +189,20 @@ class Encode:
     def __init__(self) -> None:
         self.payloads: list[bytes] = []
 
+    def _code(self, values: np.ndarray, cdfs: list[QuantizedCdf]) -> np.ndarray:
+        """Round `values` into their tables' supports and range-code them."""
+        lo = np.array([cdf.s_min for cdf in cdfs], dtype=np.int64)
+        hi = np.array([cdf.s_max for cdf in cdfs], dtype=np.int64)
+        sym = np.clip(np.rint(values.ravel()), lo, hi).astype(np.int64)
+        self.payloads.append(range_encode(sym, cdfs))
+        return sym.astype(np.float64)
+
     def hyper(self, model: CodecModel, which: str, z: Tensor, shape) -> Tensor:
-        locs, scales = _prior_rows(model, which, shape)
-        lo, hi = row_support_bounds(locs, scales)
-        sym = np.clip(np.rint(z.data.ravel()), lo, hi).astype(np.int64)
-        self.payloads.append(range_encode(sym, build_logistic_cdf_rows(locs, scales)))
-        return Tensor(sym.reshape(shape).astype(np.float64))
+        return Tensor(self._code(z.data, _prior_tables(model, which, shape)).reshape(shape))
 
     def main(self, model: CodecModel, y: Tensor, mean: Tensor, scale: Tensor) -> Tensor:
-        scales = scale.data.ravel()
-        zeros = np.zeros_like(scales)
-        lo, hi = row_support_bounds(zeros, scales)
-        sym = np.clip(np.rint((y.data - mean.data).ravel()), lo, hi).astype(np.int64)
-        self.payloads.append(range_encode(sym, build_gaussian_cdf_rows(zeros, scales)))
-        return Tensor(sym.reshape(mean.shape).astype(np.float64) + mean.data)
+        sym = self._code(y.data - mean.data, gaussian_tables(scale.data))
+        return Tensor(sym.reshape(mean.shape) + mean.data)
 
 
 class Decode:
@@ -216,15 +211,14 @@ class Decode:
     def __init__(self, chunk: FrameChunk):
         self._payloads = iter(chunk.payloads())
 
+    def _read(self, cdfs: list[QuantizedCdf]) -> np.ndarray:
+        return np.asarray(range_decode(next(self._payloads), cdfs, len(cdfs)), dtype=np.float64)
+
     def hyper(self, model: CodecModel, which: str, z: None, shape) -> Tensor:
-        locs, scales = _prior_rows(model, which, shape)
-        sym = range_decode(next(self._payloads), build_logistic_cdf_rows(locs, scales), locs.size)
-        return Tensor(np.asarray(sym, dtype=np.int64).reshape(shape).astype(np.float64))
+        return Tensor(self._read(_prior_tables(model, which, shape)).reshape(shape))
 
     def main(self, model: CodecModel, y: None, mean: Tensor, scale: Tensor) -> Tensor:
-        scales = scale.data.ravel()
-        sym = range_decode(next(self._payloads), build_gaussian_cdf_rows(np.zeros_like(scales), scales), scales.size)
-        return Tensor(np.asarray(sym, dtype=np.int64).reshape(mean.shape).astype(np.float64) + mean.data)
+        return Tensor(self._read(gaussian_tables(scale.data)).reshape(mean.shape) + mean.data)
 
 
 # -- the inter-frame step -------------------------------------------------------

@@ -1,20 +1,30 @@
-"""Bit-exact range coder and the probability models that drive it.
+"""Bit-exact range coder and the probability tables that drive it.
 
-Symbols are coded against per-symbol quantized CDFs with 16-bit total
-frequency. The coder keeps a 40-bit range state renormalized one byte
-at a time (range always in [2^32, 2^40)), so the per-symbol truncation
-loss of the range/total division is below 2^-16 relative and a 10^5
-symbol chunk stays within a few tenths of a bit of the ideal rate; the
-flush is exactly six bytes. All coder internals are integer-only, so
-payloads are identical across platforms.
+Symbols are coded against quantized CDFs with 16-bit total frequency,
+built once and shared by every symbol that uses them:
 
-Probability models: a conditional Gaussian (used for motion and
-contextual latents) and a per-channel logistic with learnable location
-and scale (the factorized prior for hyper-latents). Bin probabilities
-over the integer support are renormalized, quantized to 16-bit
+* Main latents are coded mean-removed, so only the scale picks the
+  table. `GAUSSIAN_SCALES` holds 64 log-spaced scales over
+  [SCALE_MIN, SCALE_MAX]; their zero-mean tables are built at import,
+  and `gaussian_tables` maps each clamped scale to the table of the
+  smallest entry >= it. Rounding the scale up costs a little rate but
+  never cuts a tail, and table choice is an integer index, so an
+  ULP-level change of a scale alters a stream only at an entry.
+* Hyper latents use a per-channel logistic prior; the codec builds one
+  table per channel and repeats it over the channel's symbols.
+
+Each table covers round(mean) +- (ceil(4.6 * scale) + 1). Bin
+probabilities over that support are renormalized, quantized to 16-bit
 frequencies with a minimum of 1, and the rounding deficit is corrected
 deterministically on the largest bucket, so encoder and decoder always
 derive identical tables from identical parameters.
+
+The coder keeps a 40-bit range state renormalized one byte at a time
+(range always in [2^32, 2^40)), so the per-symbol truncation loss of
+the range/total division is below 2^-16 relative and a 10^5 symbol
+chunk stays within a few tenths of a bit of the table rate; the flush
+is exactly six bytes. All coder internals are integer-only, so payloads
+are identical across platforms.
 """
 
 from __future__ import annotations
@@ -31,17 +41,13 @@ from .errors import CorruptStreamError, UsageError
 __all__ = [
     "SCALE_MIN",
     "SCALE_MAX",
-    "DEFAULT_SUPPORT_MULT",
-    "GaussianParams",
+    "SUPPORT_MULT",
+    "GAUSSIAN_SCALES",
     "QuantizedCdf",
-    "build_gaussian_cdf",
-    "build_gaussian_cdf_batch",
     "build_gaussian_cdf_rows",
-    "build_logistic_cdf",
-    "build_logistic_cdf_batch",
     "build_logistic_cdf_rows",
+    "gaussian_tables",
     "row_support_bounds",
-    "gaussian_support",
     "range_encode",
     "range_decode",
     "GaussianModel",
@@ -60,17 +66,10 @@ _FLUSH_BYTES = 6
 
 SCALE_MIN = 0.04
 SCALE_MAX = 16.0
+SUPPORT_MULT = 4.6
 
 _LOG2 = math.log(2.0)
 _MIN_PROB = 2.0**-60
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    """Mean/scale pair; the scale is clamped before table construction."""
-
-    mean: float
-    scale: float
 
 
 class QuantizedCdf:
@@ -130,88 +129,29 @@ def _bin_probs_from_cdf_edges(edges: np.ndarray) -> np.ndarray:
     return probs / mass
 
 
-def _support_edges(lo: int, hi: int) -> np.ndarray:
-    if hi < lo:
-        raise UsageError(f"empty support [{lo}, {hi}]")
-    return np.arange(lo, hi + 2, dtype=np.float64) - 0.5
-
-
 def clamp_scale(scale) -> np.ndarray:
     return np.clip(np.asarray(scale, dtype=np.float64), SCALE_MIN, SCALE_MAX)
 
 
-def build_gaussian_cdf(params: GaussianParams, support: tuple[int, int]) -> QuantizedCdf:
-    """Quantized CDF of a Gaussian discretized to unit bins on `support`.
-
-    Bin s gets probability proportional to Phi((s+0.5-mu)/sigma) -
-    Phi((s-0.5-mu)/sigma), renormalized over the support; the support
-    should include one tail bucket past mean +- 16*scale each side so
-    nothing of consequence is cut off.
-    """
-    lo, hi = support
-    sigma = float(clamp_scale(params.scale))
-    z = (_support_edges(lo, hi) - params.mean) / sigma
-    probs = _bin_probs_from_cdf_edges(_special.ndtr(z)[None, :])
-    return QuantizedCdf(lo, _quantize_rows(probs)[0])
-
-
-def build_gaussian_cdf_batch(means: np.ndarray, scales: np.ndarray, support: tuple[int, int]) -> list[QuantizedCdf]:
-    """Vectorized build_gaussian_cdf for N symbols sharing one support."""
-    lo, hi = support
-    means = np.asarray(means, dtype=np.float64).reshape(-1)
-    sigmas = clamp_scale(scales).reshape(-1)
-    edges = _support_edges(lo, hi)
-    z = (edges[None, :] - means[:, None]) / sigmas[:, None]
-    freq = _quantize_rows(_bin_probs_from_cdf_edges(_special.ndtr(z)))
-    cums = np.zeros((freq.shape[0], freq.shape[1] + 1), dtype=np.int64)
-    np.cumsum(freq, axis=1, out=cums[:, 1:])
-    return [QuantizedCdf(lo, freq[i], cums[i]) for i in range(freq.shape[0])]
-
-
-def build_logistic_cdf(loc: float, scale: float, support: tuple[int, int]) -> QuantizedCdf:
-    """Quantized CDF of a logistic distribution discretized to unit bins."""
-    lo, hi = support
-    s = float(clamp_scale(scale))
-    z = (_support_edges(lo, hi) - loc) / s
-    probs = _bin_probs_from_cdf_edges(_special.expit(z)[None, :])
-    return QuantizedCdf(lo, _quantize_rows(probs)[0])
-
-
-def build_logistic_cdf_batch(locs: np.ndarray, scales: np.ndarray, support: tuple[int, int]) -> list[QuantizedCdf]:
-    lo, hi = support
-    locs = np.asarray(locs, dtype=np.float64).reshape(-1)
-    ss = clamp_scale(scales).reshape(-1)
-    edges = _support_edges(lo, hi)
-    z = (edges[None, :] - locs[:, None]) / ss[:, None]
-    freq = _quantize_rows(_bin_probs_from_cdf_edges(_special.expit(z)))
-    cums = np.zeros((freq.shape[0], freq.shape[1] + 1), dtype=np.int64)
-    np.cumsum(freq, axis=1, out=cums[:, 1:])
-    return [QuantizedCdf(lo, freq[i], cums[i]) for i in range(freq.shape[0])]
-
-
-DEFAULT_SUPPORT_MULT = 4.6
-
-
-def row_support_bounds(means, scales, mult: float = DEFAULT_SUPPORT_MULT) -> tuple[np.ndarray, np.ndarray]:
-    """Per-symbol support bounds [round(mean)-K, round(mean)+K], K=ceil(mult*scale)+1."""
+def row_support_bounds(means, scales) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row support bounds [round(mean)-K, round(mean)+K], K=ceil(SUPPORT_MULT*scale)+1."""
     means = np.asarray(means, dtype=np.float64).reshape(-1)
     sigmas = clamp_scale(scales).reshape(-1)
     centers = np.rint(means).astype(np.int64)
-    ks = np.ceil(mult * sigmas).astype(np.int64) + 1
+    ks = np.ceil(SUPPORT_MULT * sigmas).astype(np.int64) + 1
     return centers - ks, centers + ks
 
 
-def _build_cdf_rows(means, scales, mult, cdf_fn) -> list[QuantizedCdf]:
-    """Per-row-support batch builder, vectorized by grouping equal widths.
+def _build_cdf_rows(means, scales, cdf_fn) -> list[QuantizedCdf]:
+    """One table per (mean, scale) row, vectorized by grouping equal widths.
 
     Row i's support is centered on round(mean_i) with half-width
-    ceil(mult*scale_i)+1, so narrow distributions never pay the
-    minimum-frequency padding of a wide shared support. Each row's table
-    is bit-identical to the single-row builder on the same support.
+    ceil(SUPPORT_MULT*scale_i)+1, so narrow distributions never pay the
+    minimum-frequency padding of a wide shared support.
     """
     means = np.asarray(means, dtype=np.float64).reshape(-1)
     sigmas = clamp_scale(scales).reshape(-1)
-    lo_arr, hi_arr = row_support_bounds(means, sigmas, mult)
+    lo_arr, hi_arr = row_support_bounds(means, sigmas)
     widths = hi_arr - lo_arr + 1
     out: list[QuantizedCdf | None] = [None] * len(means)
     for w in np.unique(widths):
@@ -226,31 +166,27 @@ def _build_cdf_rows(means, scales, mult, cdf_fn) -> list[QuantizedCdf]:
     return out  # type: ignore[return-value]
 
 
-def build_gaussian_cdf_rows(means, scales, mult: float = DEFAULT_SUPPORT_MULT) -> list[QuantizedCdf]:
-    """Per-symbol Gaussian tables on individually sized supports."""
-    return _build_cdf_rows(means, scales, mult, _special.ndtr)
+def build_gaussian_cdf_rows(means, scales) -> list[QuantizedCdf]:
+    """Gaussian tables, one per (mean, scale) row."""
+    return _build_cdf_rows(means, scales, _special.ndtr)
 
 
-def build_logistic_cdf_rows(locs, scales, mult: float = DEFAULT_SUPPORT_MULT) -> list[QuantizedCdf]:
-    """Per-symbol logistic tables on individually sized supports."""
-    return _build_cdf_rows(locs, scales, mult, _special.expit)
+def build_logistic_cdf_rows(locs, scales) -> list[QuantizedCdf]:
+    """Logistic tables, one per (loc, scale) row."""
+    return _build_cdf_rows(locs, scales, _special.expit)
 
 
-def gaussian_support(means, scales, mult: float = 16.0) -> tuple[int, int]:
-    """Shared integer support covering every mean +- mult*scale plus a tail bucket.
+# Ends pinned exactly: exp(log(SCALE_MAX)) is 15.999999999999998, so a scale
+# clamped to SCALE_MAX would otherwise find no entry >= it.
+GAUSSIAN_SCALES = np.exp(np.linspace(math.log(SCALE_MIN), math.log(SCALE_MAX), 64))
+GAUSSIAN_SCALES[0], GAUSSIAN_SCALES[-1] = SCALE_MIN, SCALE_MAX
+GAUSSIAN_SCALES.flags.writeable = False
+_GAUSSIAN_TABLES = np.array(build_gaussian_cdf_rows(np.zeros(len(GAUSSIAN_SCALES)), GAUSSIAN_SCALES), dtype=object)
 
-    One support for a whole chunk is simple but rate-inefficient when
-    the chunk mixes narrow and wide distributions: every bucket whose
-    quantized frequency rounds to zero is floored at 1 and the deficit
-    is shaved off the largest bucket, costing roughly
-    1.44 * (padded buckets)/2^16 bits per coded symbol. Prefer the
-    *_cdf_rows builders (per-symbol supports) when that matters.
-    """
-    means = np.asarray(means, dtype=np.float64)
-    sigmas = clamp_scale(scales)
-    lo = int(math.floor(float(np.min(means - mult * sigmas)))) - 1
-    hi = int(math.ceil(float(np.max(means + mult * sigmas)))) + 1
-    return lo, hi
+
+def gaussian_tables(scales) -> list[QuantizedCdf]:
+    """The shared zero-mean table of each scale, its clamped value rounded up to the table."""
+    return _GAUSSIAN_TABLES[np.searchsorted(GAUSSIAN_SCALES, clamp_scale(scales).reshape(-1))].tolist()
 
 
 # -- range coder -------------------------------------------------------------

@@ -228,17 +228,6 @@ class MultiRefFusion:
                 for s in (0, 1, 2)
             }
 
-    def downsample_stage(self, frame_index: int, warped_feature: Tensor) -> FeaturePyramid:
-        """Reference `frame_index`'s independent pyramid (BUTTERFLY/INDEPENDENT)."""
-        if self.mode is FusionMode.TOGETHER:
-            raise UsageError("TOGETHER mode has no per-frame downsample stage")
-        return self.down[frame_index](warped_feature)
-
-    def grid_fuse(self, pyramids: list[FeaturePyramid]) -> ContextPyramid:
-        if self.mode is not FusionMode.BUTTERFLY:
-            raise UsageError("grid fusion only exists in BUTTERFLY mode")
-        return self.grid(pyramids)
-
     def __call__(self, warped: list[Tensor]) -> ContextPyramid:
         if len(warped) != self.n_ref:
             raise UsageError(f"fusion built for {self.n_ref} references, got {len(warped)}")

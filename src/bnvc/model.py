@@ -220,9 +220,17 @@ class CodecModel:
         return loc, _to_scale(self.store[f"{which}_prior.log_scale"])
 
     def gaussian_rate_bits(self, values: Tensor, mean: Tensor, scale: Tensor) -> Tensor:
-        """Differentiable unit-bin Gaussian code length, in bits."""
-        hi = std_normal_cdf((values + 0.5 - mean) / scale)
-        lo = std_normal_cdf((values - 0.5 - mean) / scale)
+        """Differentiable unit-bin Gaussian code length, in bits.
+
+        The bin mass is symmetric about the mean, so it is taken at
+        -|values - mean|: in the lower tail both CDF terms are small and
+        their difference keeps its digits, where in the upper tail both
+        would be near 1 and cancel.
+        """
+        d = values - mean
+        u = d * Tensor(np.where(d.data > 0.0, -1.0, 1.0))
+        hi = std_normal_cdf((u + 0.5) / scale)
+        lo = std_normal_cdf((u - 0.5) / scale)
         p = clamp(hi - lo, lo=1e-12)
         return sum_all(log(p)) * Tensor(-1.0 / np.log(2.0))
 

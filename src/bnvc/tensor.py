@@ -21,6 +21,7 @@ run in parallel.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -437,15 +438,9 @@ def _conv_input_grad(g: np.ndarray, wd: np.ndarray, stride: int, pad: int, h: in
 
 # -- bilinear resize -------------------------------------------------------
 
-_RESIZE_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _resize_matrix(src: int, dst: int) -> np.ndarray:
-    """(dst, src) interpolation matrix; sample centers at (i+0.5)*scale-0.5."""
-    key = (src, dst)
-    cached = _RESIZE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """(dst, src) interpolation matrix, read-only; sample centers at (i+0.5)*scale-0.5."""
     mat = np.zeros((dst, src), dtype=np.float64)
     scale = src / dst
     pos = np.clip((np.arange(dst, dtype=np.float64) + 0.5) * scale - 0.5, 0.0, src - 1.0)
@@ -455,7 +450,7 @@ def _resize_matrix(src: int, dst: int) -> np.ndarray:
     rows = np.arange(dst)
     np.add.at(mat, (rows, i0), 1.0 - frac)
     np.add.at(mat, (rows, i1), frac)
-    _RESIZE_CACHE[key] = mat
+    mat.flags.writeable = False
     return mat
 
 
@@ -487,17 +482,13 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 # -- bilinear warp ----------------------------------------------------------
 
-_GRID_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _pixel_grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (h, w)
-    cached = _GRID_CACHE.get(key)
-    if cached is None:
-        gy, gx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-        cached = (gy, gx)
-        _GRID_CACHE[key] = cached
-    return cached
+    """Read-only (row, column) coordinate grids of an h x w image."""
+    gy, gx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+    gy.flags.writeable = False
+    gx.flags.writeable = False
+    return gy, gx
 
 
 def warp_bilinear(x: Tensor, flow: Tensor) -> Tensor:

@@ -21,7 +21,8 @@ from bnvc.codec import (
     intra_frame,
     reference_flows,
 )
-from bnvc.entropy import GaussianModel, LogisticModel, estimate_bits
+import bnvc.entropy as entropy
+from bnvc.entropy import GAUSSIAN_SCALES, GaussianModel, LogisticModel, estimate_bits
 from bnvc.errors import BnvcError, CorruptStreamError, UsageError
 from bnvc.fusion import FusionMode
 from bnvc.model import CodecModel, ModelConfig
@@ -215,6 +216,61 @@ class TestMotionCoding:
 
 def _sequence(seed=0, n=6, h=32, w=32):
     return generate_sequence(width=w, height=h, n_frames=n, seed=seed)
+
+
+class TestEntropyTables:
+    """Latents are coded against tables built once, not one per symbol."""
+
+    def test_p_frame_builds_tables_not_rows_per_symbol(self, monkeypatch):
+        model = _model()
+        model.prepare_for_coding()
+        rows = []
+
+        def counting(real):
+            def build(*args):
+                tables = real(*args)
+                rows.append(len(tables))
+                return tables
+
+            return build
+
+        for module in (entropy, codec):
+            for name in ("build_gaussian_cdf_rows", "build_logistic_cdf_rows"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        dpb = DecodedBuffer(4)
+        seq = _sequence(seed=12, n=2)
+        dpb.push(intra_frame(model, seq[0], 0))
+        coder = _Recorder(Encode())
+        refs = pad_references(dpb.frames(), 4, NEAR)
+        with no_grad():
+            inter_step(model, seq[1], refs, coder)
+        n_symbols = sum(out.size for out, _, _ in coder.outputs)
+        assert n_symbols > 1000
+        assert sum(rows) <= 64 + model.config.mv_hyper + model.config.ctx_hyper
+
+    def test_round_trip_with_scales_on_table_entries(self, monkeypatch):
+        model = _model()
+        model.prepare_for_coding()
+        for which in ("mv", "ctx"):
+            real = getattr(model, f"{which}_hyper_synthesize")
+
+            def on_entries(*args, real=real):
+                mean, scale = real(*args)
+                entries = GAUSSIAN_SCALES[np.arange(scale.data.size) % 64].reshape(scale.shape)
+                return mean, Tensor(entries)
+
+            monkeypatch.setattr(model, f"{which}_hyper_synthesize", on_entries)
+        seq = _sequence(seed=13, n=3)
+        data, _, recons = encode_sequence(seq, model, NEAR)
+        decoded, _ = decode_sequence(data, model)
+        assert decoded.tobytes() == recons.tobytes()
+
+    def test_version_1_stream_rejected(self):
+        model = _model()
+        data, _, _ = encode_sequence(_sequence(seed=14, n=2), model, NEAR)
+        with pytest.raises(CorruptStreamError, match="version 1"):
+            decode_sequence(_patched(data, 4, bytes([1])), model)
 
 
 class TestFrameRoundTrip:

@@ -13,19 +13,18 @@ import numpy as np
 import pytest
 
 from bnvc.entropy import (
+    GAUSSIAN_SCALES,
+    SCALE_MAX,
+    SCALE_MIN,
     TOTAL,
     GaussianModel,
-    GaussianParams,
     LogisticModel,
     QuantizedCdf,
     UniformModel,
-    build_gaussian_cdf,
-    build_gaussian_cdf_batch,
     build_gaussian_cdf_rows,
-    build_logistic_cdf,
     build_logistic_cdf_rows,
     estimate_bits,
-    gaussian_support,
+    gaussian_tables,
     range_decode,
     range_encode,
     row_support_bounds,
@@ -62,88 +61,97 @@ def _oracle_gaussian_freqs(mean, scale, lo, hi):
     return _oracle_quantize(probs)
 
 
+def _gaussian_row(mean, scale):
+    """The rows builder's table for one (mean, scale) and its support."""
+    (cdf,) = build_gaussian_cdf_rows([mean], [scale])
+    lo, hi = row_support_bounds([mean], [scale])
+    return cdf, int(lo[0]), int(hi[0])
+
+
 class TestGaussianCdf:
     def test_flat_limit_near_uniform(self):
-        cdf = build_gaussian_cdf(GaussianParams(0.0, 17.0), (-8, 8))
+        cdf, _, _ = _gaussian_row(0.0, 17.0)
+        np.testing.assert_array_equal(cdf.freq, _gaussian_row(0.0, SCALE_MAX)[0].freq)
         assert cdf.freq.sum() == TOTAL
-        assert cdf.freq.max() / cdf.freq.min() < 2.0
+        center = cdf.freq[-cdf.s_min - 8 : -cdf.s_min + 9]  # symbols -8..8
+        assert center.max() / center.min() < 2.0
 
     def test_delta_limit_min_frequency(self):
-        cdf = build_gaussian_cdf(GaussianParams(0.0, 0.04), (-8, 8))
-        assert len(cdf) == 17
+        cdf, lo, hi = _gaussian_row(0.0, SCALE_MIN)
+        assert (lo, hi) == (-2, 2)
         assert cdf.freq.sum() == TOTAL
-        center = cdf.freq[8]  # symbol 0
-        assert center >= TOTAL - 17
+        assert cdf.freq[2] >= TOTAL - 4  # symbol 0
         assert cdf.freq.min() >= 1
 
     def test_matches_high_precision_oracle_exactly(self):
-        got = build_gaussian_cdf(GaussianParams(1.3, 2.0), (-20, 20)).freq
-        want = _oracle_gaussian_freqs(1.3, 2.0, -20, 20)
-        np.testing.assert_array_equal(got, want)
+        cdf, lo, hi = _gaussian_row(1.3, 2.0)
+        assert (cdf.s_min, cdf.s_max) == (lo, hi)
+        np.testing.assert_array_equal(cdf.freq, _oracle_gaussian_freqs(1.3, 2.0, lo, hi))
 
     def test_matches_oracle_on_seeded_params(self):
         rng = np.random.default_rng(99)
         for _ in range(25):
             mean = float(rng.uniform(-5, 5))
-            scale = float(np.exp(rng.uniform(np.log(0.04), np.log(8.0))))
-            lo, hi = gaussian_support(np.array([mean]), np.array([scale]))
-            got = build_gaussian_cdf(GaussianParams(mean, scale), (lo, hi)).freq
-            want = _oracle_gaussian_freqs(mean, scale, lo, hi)
-            np.testing.assert_array_equal(got, want)
+            scale = float(np.exp(rng.uniform(np.log(0.04), np.log(16.0))))
+            cdf, lo, hi = _gaussian_row(mean, scale)
+            assert (cdf.s_min, cdf.s_max) == (lo, hi)
+            np.testing.assert_array_equal(cdf.freq, _oracle_gaussian_freqs(mean, scale, lo, hi))
 
     def test_pure_function(self):
-        a = build_gaussian_cdf(GaussianParams(0.7, 1.1), (-30, 30))
-        b = build_gaussian_cdf(GaussianParams(0.7, 1.1), (-30, 30))
-        np.testing.assert_array_equal(a.freq, b.freq)
-        np.testing.assert_array_equal(a.cum, b.cum)
-
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(3)
-        means = rng.uniform(-4, 4, size=40)
-        scales = np.exp(rng.uniform(np.log(0.04), np.log(6.0), size=40))
-        support = gaussian_support(means, scales)
-        batch = build_gaussian_cdf_batch(means, scales, support)
-        for mu, sig, cdf in zip(means, scales, batch):
-            single = build_gaussian_cdf(GaussianParams(float(mu), float(sig)), support)
-            np.testing.assert_array_equal(cdf.freq, single.freq)
-
-    def test_rows_builder_matches_single_exactly(self):
-        rng = np.random.default_rng(21)
-        means = rng.uniform(-30, 30, size=60)
-        scales = np.exp(rng.uniform(np.log(0.04), np.log(16.0), size=60))
-        rows = build_gaussian_cdf_rows(means, scales)
-        lo, hi = row_support_bounds(means, scales)
-        for i, cdf in enumerate(rows):
-            assert cdf.s_min == lo[i] and cdf.s_max == hi[i]
-            single = build_gaussian_cdf(GaussianParams(float(means[i]), float(scales[i])), (int(lo[i]), int(hi[i])))
-            np.testing.assert_array_equal(cdf.freq, single.freq)
-        log_rows = build_logistic_cdf_rows(means, scales)
-        for i, cdf in enumerate(log_rows):
-            single = build_logistic_cdf(float(means[i]), float(scales[i]), (int(lo[i]), int(hi[i])))
-            np.testing.assert_array_equal(cdf.freq, single.freq)
+        a = build_gaussian_cdf_rows([0.7, -3.2], [1.1, 9.0])
+        b = build_gaussian_cdf_rows([0.7, -3.2], [1.1, 9.0])
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x.freq, y.freq)
+            np.testing.assert_array_equal(x.cum, y.cum)
 
     def test_invariants_over_seeds(self):
         rng = np.random.default_rng(17)
-        for _ in range(50):
-            mean = float(rng.uniform(-10, 10))
-            scale = float(np.exp(rng.uniform(np.log(0.04), np.log(16.0))))
-            support = gaussian_support(np.array([mean]), np.array([scale]))
-            cdf = build_gaussian_cdf(GaussianParams(mean, scale), support)
+        means = rng.uniform(-10, 10, size=50)
+        scales = np.exp(rng.uniform(np.log(0.04), np.log(16.0), size=50))
+        for cdf in build_gaussian_cdf_rows(means, scales):
             assert cdf.freq.min() >= 1
             assert cdf.freq.sum() == TOTAL
             assert np.all(np.diff(cdf.cum) >= 1)
             assert cdf.cum[0] == 0 and cdf.cum[-1] == TOTAL
 
-    def test_empty_support_rejected(self):
-        with pytest.raises(UsageError):
-            build_gaussian_cdf(GaussianParams(0.0, 1.0), (5, 4))
-
     def test_logistic_cdf_sane(self):
-        cdf = build_logistic_cdf(0.3, 1.5, (-20, 20))
+        (cdf,) = build_logistic_cdf_rows([0.3], [1.5])
+        lo, hi = row_support_bounds([0.3], [1.5])
+        assert (cdf.s_min, cdf.s_max) == (lo[0], hi[0])
         assert cdf.freq.sum() == TOTAL
         assert cdf.freq.min() >= 1
         peak = cdf.s_min + int(np.argmax(cdf.freq))
         assert peak in (0, 1)
+
+
+class TestScaleTable:
+    def test_ends_pinned_and_increasing(self):
+        assert len(GAUSSIAN_SCALES) == 64
+        assert GAUSSIAN_SCALES[0] == SCALE_MIN and GAUSSIAN_SCALES[-1] == SCALE_MAX
+        assert np.all(np.diff(GAUSSIAN_SCALES) > 0)
+
+    def test_entries_carry_their_own_tables(self):
+        tables = gaussian_tables(GAUSSIAN_SCALES)
+        assert len({id(t) for t in tables}) == 64
+        for table, want in zip(tables, build_gaussian_cdf_rows(np.zeros(64), GAUSSIAN_SCALES)):
+            assert table.s_min == want.s_min
+            np.testing.assert_array_equal(table.freq, want.freq)
+
+    def test_scale_rounds_up_to_smallest_entry(self):
+        entry_tables = gaussian_tables(GAUSSIAN_SCALES)
+        between = 0.5 * (GAUSSIAN_SCALES[20] + GAUSSIAN_SCALES[21])
+        scales = [1e-9, SCALE_MIN, GAUSSIAN_SCALES[33], between, SCALE_MAX, 1e3]
+        for scale, table in zip(scales, gaussian_tables(scales)):
+            clamped = min(max(scale, SCALE_MIN), SCALE_MAX)
+            smallest = min(i for i, entry in enumerate(GAUSSIAN_SCALES) if entry >= clamped)
+            assert table is entry_tables[smallest]
+        assert gaussian_tables([between])[0] is entry_tables[21]
+
+    def test_equal_scales_share_one_table(self):
+        tables = gaussian_tables(np.full((2, 3, 4), 0.7))
+        assert len(tables) == 24
+        assert all(t is tables[0] for t in tables)
+        assert gaussian_tables([0.7])[0] is tables[0]
 
 
 def _seeded_chunk(seed, n, scale_hi=6.0):
@@ -207,9 +215,9 @@ class TestRangeCoder:
         assert range_encode(symbols, cdfs) == range_encode(symbols, cdfs)
 
     def test_out_of_support_symbol_rejected(self):
-        cdf = build_gaussian_cdf(GaussianParams(0.0, 1.0), (-8, 8))
+        cdf, _, hi = _gaussian_row(0.0, 1.0)
         with pytest.raises(UsageError):
-            range_encode([9], [cdf])
+            range_encode([hi + 1], [cdf])
 
     def test_truncated_payload_detected(self):
         symbols, cdfs, _, _ = _seeded_chunk(5, 50)
@@ -235,7 +243,7 @@ class TestRangeCoder:
                 pass
 
     def test_count_cdf_mismatch_rejected(self):
-        cdf = build_gaussian_cdf(GaussianParams(0.0, 1.0), (-8, 8))
+        cdf, _, _ = _gaussian_row(0.0, 1.0)
         with pytest.raises(UsageError):
             range_decode(b"\x00" * 6, [cdf], 2)
         with pytest.raises(UsageError):

@@ -38,7 +38,7 @@ class TestDownsampleStage:
         fusion, store = _fusion(FusionMode.BUTTERFLY)
         for t in store.tensors():
             t.data[...] = 0.0
-        pyr = fusion.downsample_stage(0, Tensor(np.zeros((16, 32, 32))))
+        pyr = fusion.down[0](Tensor(np.zeros((16, 32, 32))))
         assert pyr.f0.shape == (16, 32, 32)
         assert pyr.f1.shape == (24, 16, 16)
         assert pyr.f2.shape == (32, 8, 8)
@@ -47,17 +47,17 @@ class TestDownsampleStage:
 
     def test_shape_contract_default_widths(self):
         fusion, _ = _fusion(FusionMode.BUTTERFLY)
-        pyr = fusion.downsample_stage(2, Tensor(np.random.default_rng(0).normal(size=(16, 32, 32))))
+        pyr = fusion.down[2](Tensor(np.random.default_rng(0).normal(size=(16, 32, 32))))
         assert pyr.shapes == ((16, 32, 32), (24, 16, 16), (32, 8, 8))
 
     def test_independence_across_frames(self):
         fusion, _ = _fusion(FusionMode.BUTTERFLY)
         warped = _warped()
         with no_grad():
-            base = [fusion.downsample_stage(j, warped[j]) for j in range(4)]
+            base = [fusion.down[j](warped[j]) for j in range(4)]
             perturbed_input = Tensor(warped[1].data + 0.5)
             after = [
-                fusion.downsample_stage(j, perturbed_input if j == 1 else warped[j]) for j in range(4)
+                fusion.down[j](perturbed_input if j == 1 else warped[j]) for j in range(4)
             ]
         for j in (0, 2, 3):
             for a, b in zip(base[j].shapes, after[j].shapes):
@@ -69,7 +69,7 @@ class TestDownsampleStage:
     def test_indivisible_size_rejected(self):
         fusion, _ = _fusion(FusionMode.BUTTERFLY)
         with pytest.raises(UsageError):
-            fusion.downsample_stage(0, Tensor(np.zeros((16, 30, 32))))
+            fusion.down[0](Tensor(np.zeros((16, 30, 32))))
 
 
 class TestGridFuse:
@@ -123,8 +123,8 @@ class TestFusionModes:
         warped = _warped(seed=5)
         with no_grad():
             whole = fusion(warped)
-            pyramids = [fusion.downsample_stage(j, warped[j]) for j in range(4)]
-            composed = fusion.grid_fuse(pyramids)
+            pyramids = [fusion.down[j](warped[j]) for j in range(4)]
+            composed = fusion.grid(pyramids)
         assert whole.c0.data.tobytes() == composed.c0.data.tobytes()
         assert whole.c1.data.tobytes() == composed.c1.data.tobytes()
         assert whole.c2.data.tobytes() == composed.c2.data.tobytes()
@@ -181,11 +181,11 @@ class TestOcclusionSensitivity:
         fusion, _ = _fusion(FusionMode.BUTTERFLY)
         warped = _warped(seed=13)
         with no_grad():
-            base = [fusion.downsample_stage(j, warped[j]) for j in range(4)]
+            base = [fusion.down[j](warped[j]) for j in range(4)]
             probed = Tensor(warped[1].data.copy())
             probed.data[0, 15:17, 15:17] += 1.0
             after = [
-                fusion.downsample_stage(j, probed if j == 1 else warped[j]) for j in range(4)
+                fusion.down[j](probed if j == 1 else warped[j]) for j in range(4)
             ]
         for j in (0, 2, 3):
             assert base[j].f0.data.tobytes() == after[j].f0.data.tobytes()

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import bnvc.tensor as tensor_mod
 from bnvc.errors import ShapeError, UsageError
 from bnvc.tensor import (
     GradCheckReport,
@@ -170,6 +171,17 @@ class TestBilinearResize:
         with pytest.raises(UsageError):
             bilinear_resize(_t(np.zeros((1, 4, 4))), 0, 4)
 
+    def test_matrix_cache_bounded_and_read_only(self):
+        x = np.random.default_rng(5).normal(size=(2, 5, 6))
+        first = bilinear_resize(_t(x), 7, 3).data
+        for size in range(1, 80):
+            bilinear_resize(_t(x), size, size)
+        assert tensor_mod._resize_matrix.cache_info().currsize <= 64
+        np.testing.assert_array_equal(bilinear_resize(_t(x), 7, 3).data, first)
+        np.testing.assert_allclose(first, _resize_loops(x, 7, 3), rtol=0, atol=1e-12)
+        with pytest.raises(ValueError):
+            tensor_mod._resize_matrix(5, 7)[0, 0] = 1.0
+
 
 class TestWarpBilinear:
     def test_zero_flow_identity(self):
@@ -197,6 +209,18 @@ class TestWarpBilinear:
     def test_flow_shape_validated(self):
         with pytest.raises(ShapeError):
             warp_bilinear(_t(np.zeros((1, 4, 4))), _t(np.zeros((2, 4, 5))))
+
+    def test_grid_cache_bounded_and_read_only(self):
+        x = np.random.default_rng(6).normal(size=(1, 3, 4))
+        flow = np.full((2, 3, 4), 0.25)
+        first = warp_bilinear(_t(x), _t(flow)).data
+        for size in range(1, 80):
+            warp_bilinear(_t(np.zeros((1, size, 2))), _t(np.zeros((2, size, 2))))
+        assert tensor_mod._pixel_grid.cache_info().currsize <= 64
+        np.testing.assert_array_equal(warp_bilinear(_t(x), _t(flow)).data, first)
+        gy, gx = tensor_mod._pixel_grid(3, 4)
+        with pytest.raises(ValueError):
+            gx[0, 0] = 1.0
 
 
 class TestBackward:

@@ -9,6 +9,7 @@ import pytest
 
 import bnvc.codec as codec
 import bnvc.training as training
+from bnvc.entropy import GaussianModel, estimate_bits
 from bnvc.errors import UsageError
 from bnvc.model import CodecModel, ModelConfig
 from bnvc.policies import DuplicationPolicy
@@ -32,6 +33,20 @@ def dataset():
 
 def _toy_model(seed=0, **kw):
     return CodecModel(ModelConfig.toy(**kw), seed=seed)
+
+
+class TestRateTerms:
+    def test_gaussian_rate_symmetric_in_the_far_tails(self):
+        # 7 sigma out the bin mass (4e-11) is above the 1e-12 floor, and an
+        # upper-tail difference of two CDF values near 1 keeps about five digits.
+        model = _toy_model()
+        mean, scale = np.array([0.5]), np.array([1.0])
+        bits = {}
+        for v in (7.5, -6.5):
+            bits[v] = float(model.gaussian_rate_bits(Tensor(np.array([v])), Tensor(mean), Tensor(scale)).data)
+            want = estimate_bits([v], GaussianModel(mean, scale))
+            assert abs(bits[v] - want) <= 1e-9 * want
+        assert bits[7.5] == bits[-6.5]
 
 
 class TestAdam:
