@@ -5,7 +5,9 @@ Design constraints, in order of priority:
 * Determinism. Repeated forward passes over identical inputs are
   bit-identical: every op reduces with a fixed summation order and no
   value-dependent branching, so an encoder and decoder evaluating the
-  same network on the same machine agree exactly.
+  same network on the same machine agree exactly. Stride-1 convolution
+  with C_out <= C_in sums its k*k shifted-slice GEMM taps in a fixed
+  order; every other convolution multiplies by an im2col matrix.
 * Correctness. Every differentiable op carries an analytic gradient
   that is validated against central finite differences (grad_check).
 * Just enough surface. Only the operations the codec networks need
@@ -162,9 +164,8 @@ def backward(output: Tensor, seed=None) -> None:
     post-order over the recorded parents, so accumulation order never
     varies between runs.
     """
-    if not output.requires_grad or (output._backward_fn is None and not output._parents):
-        if not output.requires_grad:
-            raise UsageError("backward() on a tensor with no recorded computation")
+    if not output.requires_grad:
+        raise UsageError("backward() on a tensor with no recorded computation")
     if seed is None:
         seed = np.ones_like(output.data)
     else:
@@ -369,6 +370,49 @@ def _im2col(xp: np.ndarray, k: int, stride: int, out_h: int, out_w: int) -> np.n
     return win.transpose(0, 3, 4, 1, 2).reshape(xp.shape[0] * k * k, out_h * out_w)
 
 
+def _flat_padded(x: np.ndarray, pad: int) -> tuple[np.ndarray, int]:
+    """x zero-padded by `pad` plus one spare bottom row, flattened to
+    (C, (Hp + 1) * Wp), and the padded width Wp. The spare row keeps the
+    last tap's slice in bounds."""
+    c, h, w = x.shape
+    wp = w + 2 * pad
+    xp = np.zeros((c, h + 2 * pad + 1, wp))
+    xp[:, pad : pad + h, pad : pad + w] = x
+    return xp.reshape(c, -1), wp
+
+
+def _tap_offsets(k: int, wp: int) -> list[int]:
+    """Flat offset of each kernel tap (dy, dx), row-major, into a plane of width wp."""
+    return [dy * wp + dx for dy in range(k) for dx in range(k)]
+
+
+def _correlate(x: np.ndarray, wd: np.ndarray, stride: int, pad: int) -> np.ndarray:
+    """Bias-free cross-correlation of x (C_in, H, W) with wd (C_out, C_in, k, k).
+
+    Stride 1 with C_out <= C_in takes the shift form: one GEMM of the
+    tap-stacked kernel over the flattened padded input, then the k*k
+    taps summed in a fixed order, each a contiguous slice offset by
+    dy*Wp + dx; the Wp - W_out wrap-around columns are cropped. Its
+    temporary has k*k*C_out rows where im2col's has k*k*C_in, so the
+    form with the smaller temporary is taken.
+    """
+    c_out, c_in, k, _ = wd.shape
+    _, h, w = x.shape
+    out_h = _conv_out_extent(h, k, stride, pad)
+    out_w = _conv_out_extent(w, k, stride, pad)
+    if stride != 1 or c_out > c_in:
+        cols = _im2col(_zero_pad(x, pad), k, stride, out_h, out_w)
+        return (wd.reshape(c_out, -1) @ cols).reshape(c_out, out_h, out_w)
+    xf, wp = _flat_padded(x, pad)
+    n = out_h * wp
+    taps = (wd.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in) @ xf).reshape(k * k, c_out, -1)
+    offsets = _tap_offsets(k, wp)
+    acc = taps[0, :, :n].copy()
+    for t in range(1, k * k):
+        acc += taps[t, :, offsets[t] : offsets[t] + n]
+    return acc.reshape(c_out, out_h, wp)[:, :, :out_w]
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution (cross-correlation) with zero padding.
 
@@ -392,29 +436,45 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     _, h, w = xd.shape
     if h + 2 * pad < k or w + 2 * pad < k:
         raise ShapeError(f"conv2d input {h}x{w} with pad {pad} is smaller than kernel {k}")
-    out_h = _conv_out_extent(h, k, stride, pad)
-    out_w = _conv_out_extent(w, k, stride, pad)
 
-    xp = _zero_pad(xd, pad)
-    cols = _im2col(xp, k, stride, out_h, out_w)
-    out = (wd.reshape(c_out, -1) @ cols + bd[:, None]).reshape(c_out, out_h, out_w)
+    out = _correlate(xd, wd, stride, pad) + bd[:, None, None]
 
     def back(g):
-        # cols is recomputed here rather than captured so a deep graph
-        # does not pin one im2col buffer per conv until backward runs
-        cols_b = _im2col(_zero_pad(x.data, pad), k, stride, out_h, out_w)
-        g2 = g.reshape(c_out, -1)
-        g_w = (g2 @ cols_b.T).reshape(wd.shape)
-        g_b = g2.sum(axis=1)
-        g_x = _conv_input_grad(g, wd, stride, pad, h, w)
-        return g_x, g_w, g_b
+        # a parent without requires_grad would drop its gradient unread
+        g_x = _conv_input_grad(g, wd, stride, pad, h, w) if x.requires_grad else None
+        g_w = _conv_weight_grad(g, xd, k, stride, pad) if weight.requires_grad else None
+        return g_x, g_w, g.reshape(c_out, -1).sum(axis=1)
 
     return _node(out, (x, weight, bias), back)
 
 
+def _conv_weight_grad(g: np.ndarray, xd: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
+    """Weight gradient of conv2d, (C_out, C_in, k, k).
+
+    Stride 1 takes one GEMM per tap against the flattened padded input,
+    with the output gradient widened to Wp and its wrap-around columns
+    zeroed; larger strides correlate with the im2col matrix.
+    """
+    c_out, out_h, out_w = g.shape
+    c_in = xd.shape[0]
+    if stride != 1:
+        cols = _im2col(_zero_pad(xd, pad), k, stride, out_h, out_w)
+        return (g.reshape(c_out, -1) @ cols.T).reshape(c_out, c_in, k, k)
+    xf, wp = _flat_padded(xd, pad)
+    n = out_h * wp
+    g_pad = np.zeros((c_out, out_h, wp))
+    g_pad[:, :, :out_w] = g
+    g_pad = g_pad.reshape(c_out, n)
+    g_w = np.empty((c_out, c_in, k * k))
+    for t, off in enumerate(_tap_offsets(k, wp)):
+        g_w[:, :, t] = g_pad @ xf[:, off : off + n].T
+    return g_w.reshape(c_out, c_in, k, k)
+
+
 def _conv_input_grad(g: np.ndarray, wd: np.ndarray, stride: int, pad: int, h: int, w: int) -> np.ndarray:
-    """Input gradient of conv2d: correlate the (dilated, padded) output
-    gradient with the flipped kernel, reusing the im2col matmul path."""
+    """Input gradient of conv2d: the (dilated) output gradient correlated
+    with the flipped, transposed kernel at stride 1 and pad k - 1, so it
+    takes whichever correlation form its own channel counts select."""
     c_out, c_in, k, _ = wd.shape
     out_h, out_w = g.shape[1], g.shape[2]
     if stride > 1:
@@ -422,11 +482,9 @@ def _conv_input_grad(g: np.ndarray, wd: np.ndarray, stride: int, pad: int, h: in
         gd[:, ::stride, ::stride] = g
     else:
         gd = g
-    gp = _zero_pad(gd, k - 1)
-    oh = gp.shape[1] - k + 1  # = (out_h - 1) * stride + k, never exceeds h + 2*pad
-    ow = gp.shape[2] - k + 1
     wflip = np.ascontiguousarray(wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    core = (wflip.reshape(c_in, -1) @ _im2col(gp, k, 1, oh, ow)).reshape(c_in, oh, ow)
+    core = _correlate(gd, wflip, 1, k - 1)
+    oh, ow = core.shape[1], core.shape[2]  # = (out_h - 1) * stride + k, never exceeds h + 2*pad
     hp, wp = h + 2 * pad, w + 2 * pad
     if (oh, ow) != (hp, wp):
         gxp = np.zeros((c_in, hp, wp))

@@ -13,6 +13,7 @@ import pytest
 
 import bnvc.tensor as tensor_mod
 from bnvc.errors import ShapeError, UsageError
+from bnvc.gradsuite import op_checks
 from bnvc.tensor import (
     GradCheckReport,
     Tensor,
@@ -110,12 +111,39 @@ class TestConv2d:
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (3, 2)])
     def test_matches_loop_oracle_all_geometries(self, stride, pad):
         rng = np.random.default_rng(stride * 10 + pad)
-        x = rng.normal(size=(2, 7, 6))
-        w = rng.normal(size=(2, 2, 3, 3))
-        b = rng.normal(size=2)
-        got = conv2d(_t(x), _t(w), _t(b), stride=stride, pad=pad).data
-        want = _conv2d_loops(x, w, b, stride, pad)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # C_out <= C_in and C_out > C_in select different forms at stride 1
+        shapes = [(2, 2, 3)] + [(c_in, c_out, k) for c_in, c_out in [(3, 2), (3, 3), (2, 3)] for k in (1, 3)]
+        for c_in, c_out, k in shapes:
+            x = rng.normal(size=(c_in, 7, 6))
+            w = rng.normal(size=(c_out, c_in, k, k))
+            b = rng.normal(size=c_out)
+            got = conv2d(_t(x), _t(w), _t(b), stride=stride, pad=pad).data
+            want = _conv2d_loops(x, w, b, stride, pad)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{c_in}->{c_out} k={k}")
+
+    def test_shift_form_makes_no_im2col_copy(self, monkeypatch):
+        calls = []
+        real = tensor_mod._im2col
+        monkeypatch.setattr(tensor_mod, "_im2col", lambda *a: calls.append(a) or real(*a))
+        rng = np.random.default_rng(11)
+
+        def run(c_in, c_out, stride=1, x_grad=True):
+            """_im2col calls made by (forward, backward) of one conv."""
+            x = _t(rng.normal(size=(c_in, 8, 8)), grad=x_grad)
+            w = _t(rng.normal(size=(c_out, c_in, 3, 3)), grad=True)
+            y = conv2d(x, w, _t(np.zeros(c_out), grad=True), stride=stride, pad=1)
+            n_fwd = len(calls)
+            sum_all(y).backward()
+            n_all = len(calls)
+            calls.clear()
+            return n_fwd, n_all - n_fwd
+
+        assert run(4, 2)[0] == 0  # C_out < C_in forward
+        assert run(4, 4) == (0, 0)  # width-preserving, as in a ResBlock: forward and both gradients
+        for c_in, c_out in [(4, 2), (4, 4), (2, 4), (3, 16)]:
+            assert run(c_in, c_out, x_grad=False)[1] == 0, (c_in, c_out)  # weight gradient alone
+        assert run(2, 4)[1] == 0  # the input gradient's own C_out (2) <= C_in (4)
+        assert run(4, 2, stride=2)[0] == 1
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
@@ -298,66 +326,11 @@ class TestDeterminism:
         assert run() == run()
 
 
-def _projection_scalar(out, seed):
-    rng = np.random.default_rng(seed + 7919)
-    r = Tensor(rng.normal(size=out.data.shape))
-    return sum_all(out * r)
-
-
-def _op_cases(seed):
-    """(name, closure, input arrays) triples for per-op gradient checks."""
-    rng = np.random.default_rng(seed)
-    x_img = rng.normal(size=(2, 6, 6))
-    w = rng.normal(size=(3, 2, 3, 3)) * 0.5
-    b = rng.normal(size=3) * 0.1
-    # keep leaky/clamp inputs away from their kinks and warp samples away
-    # from integer positions so finite differences stay two-sided
-    signs = rng.choice([-1.0, 1.0], size=(2, 6, 6))
-    x_off = signs * rng.uniform(0.2, 1.0, size=(2, 6, 6))
-    flow = rng.choice([-1.0, 1.0], size=(2, 6, 6)) * rng.uniform(0.2, 0.45, size=(2, 6, 6))
-    pos = rng.uniform(0.5, 2.0, size=(2, 4, 4))
-    a = rng.normal(size=(3, 4))
-    bb = rng.normal(size=(3, 4)) + 3.0
-
-    return [
-        ("add", lambda t1, t2: _projection_scalar(t1 + t2, seed), [a, a * 0.3]),
-        ("mul", lambda t1, t2: _projection_scalar(t1 * t2, seed), [a, a + 2.0]),
-        ("div", lambda t1, t2: _projection_scalar(t1 / t2, seed), [a, bb]),
-        ("leaky_relu", lambda t: _projection_scalar(leaky_relu(t), seed), [x_off]),
-        ("sigmoid", lambda t: _projection_scalar(sigmoid(t), seed), [a]),
-        ("std_normal_cdf", lambda t: _projection_scalar(std_normal_cdf(t), seed), [a]),
-        ("exp", lambda t: _projection_scalar(exp(t), seed), [a * 0.5]),
-        ("log", lambda t: _projection_scalar(log(t), seed), [pos]),
-        ("clamp", lambda t: _projection_scalar(clamp(t, -0.5, 0.5), seed), [x_off]),
-        (
-            "conv2d_s1",
-            lambda tx, tw, tb: _projection_scalar(conv2d(tx, tw, tb, stride=1, pad=1), seed),
-            [x_img, w, b],
-        ),
-        (
-            "conv2d_s2",
-            lambda tx, tw, tb: _projection_scalar(conv2d(tx, tw, tb, stride=2, pad=1), seed),
-            [x_img, w, b],
-        ),
-        ("resize_up", lambda t: _projection_scalar(bilinear_resize(t, 9, 11), seed), [x_img]),
-        ("resize_down", lambda t: _projection_scalar(bilinear_resize(t, 3, 4), seed), [x_img]),
-        ("warp", lambda tx, tf: _projection_scalar(warp_bilinear(tx, tf), seed), [x_img, flow]),
-        (
-            "concat",
-            lambda t1, t2: _projection_scalar(concat_channels([t1, t2]), seed),
-            [x_img, x_img[:1] * 0.5],
-        ),
-        ("sum_all", lambda t: sum_all(t), [a]),
-        ("mean_all", lambda t: mean_all(t), [a]),
-    ]
-
-
 class TestGradCheck:
     def test_every_op_passes_over_20_seeds(self):
         for seed in range(20):
-            for name, fn, inputs in _op_cases(seed):
-                report = grad_check(fn, inputs, eps=1e-5, tol=1e-4, seed=seed)
-                assert report.passed, f"{name} seed={seed}: {report}"
+            failed = [r.line() for r in op_checks(seed) if not r.passed]
+            assert not failed, f"seed={seed}: {failed}"
 
     def test_linear_op_near_zero_error(self):
         report = grad_check(lambda t: sum_all(t * 3.0), [np.arange(6.0)])
