@@ -6,6 +6,7 @@ production tables must match it exactly. Round-trip and rate-bound
 properties run over many seeded configurations.
 """
 
+import hashlib
 import math
 
 import mpmath as mp
@@ -241,6 +242,25 @@ class TestRangeCoder:
                 assert len(out) == 200  # garbage symbols are fine; crashing is not
             except CorruptStreamError:
                 pass
+
+    def test_payload_bytes_pinned(self):
+        # Integer-only tables, so these bytes hold on every platform. The run
+        # codes 648 symbols in a top interval (cum_hi == TOTAL) and carries
+        # into a pending run of 0xFF bytes three times.
+        skew = np.array([TOTAL // 2, TOTAL // 4, TOTAL // 8, TOTAL // 16, TOTAL // 32, TOTAL // 64, TOTAL // 64])
+        tables = [
+            QuantizedCdf(-1, np.array([TOTAL - 2, 1, 1], dtype=np.int64)),
+            QuantizedCdf(-128, np.full(256, TOTAL // 256, dtype=np.int64)),
+            QuantizedCdf(3, skew.astype(np.int64)),
+        ]
+        rng = np.random.default_rng(3)
+        which = rng.integers(0, 3, size=4000)
+        symbols = [tables[t].s_min + int(rng.integers(0, len(tables[t].freq))) for t in which]
+        cdfs = [tables[t] for t in which]
+        payload = range_encode(symbols, cdfs)
+        assert len(payload) == 3793
+        assert hashlib.sha256(payload).hexdigest() == "f3c0507625cae05ccdb63cf119fbb410ab63a44e830f196477bc54d7b8cdb3c5"
+        assert range_decode(payload, cdfs, len(cdfs)) == symbols
 
     def test_count_cdf_mismatch_rejected(self):
         cdf, _, _ = _gaussian_row(0.0, 1.0)
