@@ -32,7 +32,7 @@ from .bitstream import (
     FrameChunk,
     StreamHeader,
 )
-from .entropy import QuantizedCdf, build_logistic_cdf_rows, gaussian_tables, range_decode, range_encode
+from .entropy import TableSet, build_logistic_cdf_rows, gaussian_tables, range_decode, range_encode
 from .errors import CorruptStreamError, UsageError
 from .fusion import FusionMode
 from .metrics import psnr
@@ -176,11 +176,11 @@ class Noise:
         return y_hat
 
 
-def _prior_tables(model: CodecModel, which: str, shape) -> list[QuantizedCdf]:
-    """The factorized prior's table of each symbol: one per channel, repeated over H*W."""
+def _prior_tables(model: CodecModel, which: str, shape) -> TableSet:
+    """The factorized prior's tables: one per channel, indexed by each symbol's channel."""
     loc, scale = model.prior_params(which)
     per_channel = build_logistic_cdf_rows(loc.data.ravel(), scale.data.ravel())
-    return [table for table in per_channel for _ in range(shape[1] * shape[2])]
+    return TableSet(per_channel, np.repeat(np.arange(shape[0]), shape[1] * shape[2]))
 
 
 class Encode:
@@ -189,12 +189,10 @@ class Encode:
     def __init__(self) -> None:
         self.payloads: list[bytes] = []
 
-    def _code(self, values: np.ndarray, cdfs: list[QuantizedCdf]) -> np.ndarray:
+    def _code(self, values: np.ndarray, tables: TableSet) -> np.ndarray:
         """Round `values` into their tables' supports and range-code them."""
-        lo = np.array([cdf.s_min for cdf in cdfs], dtype=np.int64)
-        hi = np.array([cdf.s_max for cdf in cdfs], dtype=np.int64)
-        sym = np.clip(np.rint(values.ravel()), lo, hi).astype(np.int64)
-        self.payloads.append(range_encode(sym, cdfs))
+        sym = np.clip(np.rint(values.ravel()), *tables.symbol_bounds()).astype(np.int64)
+        self.payloads.append(range_encode(sym, tables))
         return sym.astype(np.float64)
 
     def hyper(self, model: CodecModel, which: str, z: Tensor, shape) -> Tensor:
@@ -211,8 +209,8 @@ class Decode:
     def __init__(self, chunk: FrameChunk):
         self._payloads = iter(chunk.payloads())
 
-    def _read(self, cdfs: list[QuantizedCdf]) -> np.ndarray:
-        return np.asarray(range_decode(next(self._payloads), cdfs, len(cdfs)), dtype=np.float64)
+    def _read(self, tables: TableSet) -> np.ndarray:
+        return np.asarray(range_decode(next(self._payloads), tables), dtype=np.float64)
 
     def hyper(self, model: CodecModel, which: str, z: None, shape) -> Tensor:
         return Tensor(self._read(_prior_tables(model, which, shape)).reshape(shape))

@@ -1,17 +1,19 @@
 """Bit-exact range coder and the probability tables that drive it.
 
-Symbols are coded against quantized CDFs with 16-bit total frequency,
-built once and shared by every symbol that uses them:
+Symbols are coded against quantized CDFs with 16-bit total frequency.
+A latent's tables arrive as a `TableSet`: its distinct tables plus one
+integer table index per symbol, so a table is built once and shared by
+every symbol that uses it.
 
 * Main latents are coded mean-removed, so only the scale picks the
   table. `GAUSSIAN_SCALES` holds 64 log-spaced scales over
   [SCALE_MIN, SCALE_MAX]; their zero-mean tables are built at import,
-  and `gaussian_tables` maps each clamped scale to the table of the
+  and `gaussian_tables` maps each clamped scale to the index of the
   smallest entry >= it. Rounding the scale up costs a little rate but
   never cuts a tail, and table choice is an integer index, so an
   ULP-level change of a scale alters a stream only at an entry.
-* Hyper latents use a per-channel logistic prior; the codec builds one
-  table per channel and repeats it over the channel's symbols.
+* Hyper latents use a per-channel logistic prior: one table per
+  channel, indexed by each symbol's channel.
 
 Each table covers round(mean) +- (ceil(4.6 * scale) + 1). Bin
 probabilities over that support are renormalized, quantized to 16-bit
@@ -19,17 +21,19 @@ frequencies with a minimum of 1, and the rounding deficit is corrected
 deterministically on the largest bucket, so encoder and decoder always
 derive identical tables from identical parameters.
 
-The coder keeps a 40-bit range state renormalized one byte at a time
-(range always in [2^32, 2^40)), so the per-symbol truncation loss of
-the range/total division is below 2^-16 relative and a 10^5 symbol
-chunk stays within a few tenths of a bit of the table rate; the flush
-is exactly six bytes. All coder internals are integer-only, so payloads
-are identical across platforms.
+`range_encode` and `range_decode` are LZMA-style carry/cache coders
+with a 40-bit range state renormalized one byte at a time (range always
+in [2^32, 2^40)), so the per-symbol truncation loss of the range/total
+division is below 2^-16 relative and a 10^5 symbol chunk stays within a
+few tenths of a bit of the table rate; the flush is exactly six bytes.
+All coder arithmetic is on Python integers, so payloads are identical
+across platforms.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,6 +48,7 @@ __all__ = [
     "SUPPORT_MULT",
     "GAUSSIAN_SCALES",
     "QuantizedCdf",
+    "TableSet",
     "build_gaussian_cdf_rows",
     "build_logistic_cdf_rows",
     "gaussian_tables",
@@ -89,8 +94,26 @@ class QuantizedCdf:
     def s_max(self) -> int:
         return self.s_min + len(self.freq) - 1
 
+
+class TableSet:
+    """The distinct tables of one latent and the table index of each symbol."""
+
+    __slots__ = ("tables", "index", "s_min", "s_max")
+
+    def __init__(self, tables: Sequence[QuantizedCdf], index) -> None:
+        self.tables = tuple(tables)
+        self.index = np.asarray(index, dtype=np.intp).reshape(-1)
+        if self.index.size and not 0 <= self.index.min() <= self.index.max() < len(self.tables):
+            raise UsageError(f"table index outside [0, {len(self.tables)})")
+        self.s_min = np.array([t.s_min for t in self.tables], dtype=np.int64)
+        self.s_max = np.array([t.s_max for t in self.tables], dtype=np.int64)
+
     def __len__(self) -> int:
-        return len(self.freq)
+        return self.index.size
+
+    def symbol_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each symbol's support bounds [s_min, s_max]."""
+        return self.s_min[self.index], self.s_max[self.index]
 
 
 def _quantize_rows(probs: np.ndarray) -> np.ndarray:
@@ -181,121 +204,90 @@ def build_logistic_cdf_rows(locs, scales) -> list[QuantizedCdf]:
 GAUSSIAN_SCALES = np.exp(np.linspace(math.log(SCALE_MIN), math.log(SCALE_MAX), 64))
 GAUSSIAN_SCALES[0], GAUSSIAN_SCALES[-1] = SCALE_MIN, SCALE_MAX
 GAUSSIAN_SCALES.flags.writeable = False
-_GAUSSIAN_TABLES = np.array(build_gaussian_cdf_rows(np.zeros(len(GAUSSIAN_SCALES)), GAUSSIAN_SCALES), dtype=object)
+_GAUSSIAN_TABLES = tuple(build_gaussian_cdf_rows(np.zeros(len(GAUSSIAN_SCALES)), GAUSSIAN_SCALES))
 
 
-def gaussian_tables(scales) -> list[QuantizedCdf]:
-    """The shared zero-mean table of each scale, its clamped value rounded up to the table."""
-    return _GAUSSIAN_TABLES[np.searchsorted(GAUSSIAN_SCALES, clamp_scale(scales).reshape(-1))].tolist()
+def gaussian_tables(scales) -> TableSet:
+    """The shared zero-mean tables, indexed by each clamped scale rounded up to an entry."""
+    return TableSet(_GAUSSIAN_TABLES, np.searchsorted(GAUSSIAN_SCALES, clamp_scale(scales).reshape(-1)))
 
 
 # -- range coder -------------------------------------------------------------
 
-class _RangeEncoder:
-    def __init__(self) -> None:
-        self.low = 0
-        self.range = _RANGE_TOP - 1
-        self.cache = 0
-        self.cache_size = 1
-        self.out = bytearray()
+def range_encode(symbols, tables: TableSet) -> bytes:
+    """Range-encode `symbols`, symbol i coded against tables.tables[tables.index[i]].
 
-    def _shift_low(self) -> None:
-        if self.low < 0xFF_0000_0000 or self.low > _LOW_MASK:
-            carry = self.low >> 40
-            temp = self.cache
-            while True:
-                self.out.append((temp + carry) & 0xFF)
-                temp = 0xFF
-                self.cache_size -= 1
-                if self.cache_size == 0:
-                    break
-            self.cache = (self.low >> 32) & 0xFF
-        self.cache_size += 1
-        self.low = (self.low << 8) & _LOW_MASK
-
-    def encode(self, cum_lo: int, cum_hi: int) -> None:
-        r = self.range // TOTAL
-        self.low += r * cum_lo
-        if cum_hi == TOTAL:
-            # top interval absorbs the division remainder
-            self.range -= r * cum_lo
-        else:
-            self.range = r * (cum_hi - cum_lo)
-        while self.range < _RANGE_BOT:
-            self._shift_low()
-            self.range <<= 8
-
-    def flush(self) -> bytes:
-        for _ in range(_FLUSH_BYTES):
-            self._shift_low()
-        return bytes(self.out)
-
-
-class _RangeDecoder:
-    def __init__(self, payload: bytes) -> None:
-        self.data = payload
-        self.pos = 0
-        self.range = _RANGE_TOP - 1
-        self._read()  # encoder's leading cache byte
-        code = 0
-        for _ in range(_FLUSH_BYTES - 1):
-            code = (code << 8) | self._read()
-        self.code = code
-
-    def _read(self) -> int:
-        if self.pos >= len(self.data):
-            raise CorruptStreamError("range-coded payload truncated")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
-
-    def decode(self, cum: np.ndarray) -> int:
-        r = self.range // TOTAL
-        dv = self.code // r
-        if dv >= TOTAL:
-            dv = TOTAL - 1
-        idx = int(np.searchsorted(cum, dv, side="right")) - 1
-        cum_lo = int(cum[idx])
-        cum_hi = int(cum[idx + 1])
-        self.code -= r * cum_lo
-        if cum_hi == TOTAL:
-            self.range -= r * cum_lo
-        else:
-            self.range = r * (cum_hi - cum_lo)
-        while self.range < _RANGE_BOT:
-            self.code = (self.code << 8) | self._read()
-            self.range <<= 8
-        return idx
-
-
-def range_encode(symbols: Sequence[int], cdfs: Sequence[QuantizedCdf]) -> bytes:
-    """Range-encode `symbols`, symbol i coded against cdfs[i].
-
-    Symbols outside their CDF support raise UsageError. An empty symbol
-    list produces the fixed-size flush payload.
+    Symbols outside their table's support raise UsageError. An empty
+    symbol list produces the fixed-size flush payload.
     """
-    if len(symbols) != len(cdfs):
-        raise UsageError(f"{len(symbols)} symbols but {len(cdfs)} CDFs")
-    enc = _RangeEncoder()
-    for s, cdf in zip(symbols, cdfs):
-        idx = int(s) - cdf.s_min
-        if idx < 0 or idx >= len(cdf.freq):
-            raise UsageError(f"symbol {s} outside CDF support [{cdf.s_min}, {cdf.s_max}]")
-        enc.encode(int(cdf.cum[idx]), int(cdf.cum[idx + 1]))
-    return enc.flush()
+    if len(symbols) != len(tables):
+        raise UsageError(f"{len(symbols)} symbols but {len(tables)} table indices")
+    sym = np.asarray(symbols, dtype=np.int64).reshape(-1)
+    lo, hi = tables.symbol_bounds()
+    outside = np.nonzero((sym < lo) | (sym > hi))[0]
+    if outside.size:
+        i = outside[0]
+        raise UsageError(f"symbol {sym[i]} outside CDF support [{lo[i]}, {hi[i]}]")
+    cums = [t.cum.tolist() for t in tables.tables]
+    low, rng, cache, pending = 0, _RANGE_TOP - 1, 0, 1
+    out = bytearray()
+
+    def shift_low(low, cache, pending):
+        """Move low's top byte out, resolving a carry into the cached bytes."""
+        if low < 0xFF_0000_0000 or low > _LOW_MASK:
+            carry = low >> 40
+            out.append((cache + carry) & 0xFF)
+            out.extend(((0xFF + carry) & 0xFF,) * (pending - 1))
+            cache, pending = (low >> 32) & 0xFF, 0
+        return (low << 8) & _LOW_MASK, cache, pending + 1
+
+    for t, k in zip(tables.index.tolist(), (sym - lo).tolist()):
+        cum = cums[t]
+        cum_lo, cum_hi = cum[k], cum[k + 1]
+        r = rng // TOTAL
+        low += r * cum_lo
+        if cum_hi == TOTAL:
+            rng -= r * cum_lo  # the top interval absorbs the division remainder
+        else:
+            rng = r * (cum_hi - cum_lo)
+        while rng < _RANGE_BOT:
+            low, cache, pending = shift_low(low, cache, pending)
+            rng <<= 8
+    for _ in range(_FLUSH_BYTES):
+        low, cache, pending = shift_low(low, cache, pending)
+    return bytes(out)
 
 
-def range_decode(payload: bytes, cdfs: Sequence[QuantizedCdf], count: int) -> list[int]:
-    """Decode `count` symbols; cdfs must match the encoder's exactly."""
-    if count != len(cdfs):
-        raise UsageError(f"count {count} but {len(cdfs)} CDFs")
+def range_decode(payload: bytes, tables: TableSet) -> list[int]:
+    """Decode one symbol per table index; the tables must match the encoder's exactly."""
     if len(payload) < _FLUSH_BYTES:
         raise CorruptStreamError(f"payload shorter than the {_FLUSH_BYTES}-byte flush")
-    dec = _RangeDecoder(payload)
+    cums = [t.cum.tolist() for t in tables.tables]
+    s_mins = tables.s_min.tolist()
+    end = len(payload)
+    # byte 0 is the encoder's leading cache byte
+    code, pos, rng = int.from_bytes(payload[1:_FLUSH_BYTES], "big"), _FLUSH_BYTES, _RANGE_TOP - 1
     out = []
-    for cdf in cdfs:
-        idx = dec.decode(cdf.cum)
-        out.append(cdf.s_min + idx)
+    for t in tables.index.tolist():
+        cum = cums[t]
+        r = rng // TOTAL
+        dv = code // r
+        if dv >= TOTAL:  # the top interval also holds the division remainder
+            dv = TOTAL - 1
+        k = bisect_right(cum, dv) - 1
+        cum_lo, cum_hi = cum[k], cum[k + 1]
+        code -= r * cum_lo
+        if cum_hi == TOTAL:
+            rng -= r * cum_lo
+        else:
+            rng = r * (cum_hi - cum_lo)
+        while rng < _RANGE_BOT:
+            if pos >= end:
+                raise CorruptStreamError("range-coded payload truncated")
+            code = (code << 8) | payload[pos]
+            pos += 1
+            rng <<= 8
+        out.append(s_mins[t] + k)
     return out
 
 
@@ -357,16 +349,6 @@ def estimate_bits(values, model) -> float:
         probs = _gaussian_bin_probs(v, model.mean, model.scale)
     elif isinstance(model, LogisticModel):
         probs = _logistic_bin_probs(v, model.loc, model.scale)
-    elif isinstance(model, (list, tuple)) and all(isinstance(c, QuantizedCdf) for c in model):
-        if len(model) != v.size:
-            raise UsageError(f"{v.size} values but {len(model)} CDFs")
-        bits = 0.0
-        for val, cdf in zip(v.reshape(-1), model):
-            idx = int(val) - cdf.s_min
-            if idx < 0 or idx >= len(cdf.freq):
-                raise UsageError(f"value {val} outside CDF support")
-            bits += -math.log2(cdf.freq[idx] / TOTAL)
-        return bits
     else:
         raise UsageError(f"unsupported model type {type(model).__name__}")
     probs = np.maximum(probs, _MIN_PROB)

@@ -21,6 +21,7 @@ from bnvc.entropy import (
     GaussianModel,
     LogisticModel,
     QuantizedCdf,
+    TableSet,
     UniformModel,
     build_gaussian_cdf_rows,
     build_logistic_cdf_rows,
@@ -133,26 +134,30 @@ class TestScaleTable:
 
     def test_entries_carry_their_own_tables(self):
         tables = gaussian_tables(GAUSSIAN_SCALES)
-        assert len({id(t) for t in tables}) == 64
-        for table, want in zip(tables, build_gaussian_cdf_rows(np.zeros(64), GAUSSIAN_SCALES)):
+        assert tables.index.tolist() == list(range(64))
+        assert len({id(t) for t in tables.tables}) == 64
+        for table, want in zip(tables.tables, build_gaussian_cdf_rows(np.zeros(64), GAUSSIAN_SCALES)):
             assert table.s_min == want.s_min
             np.testing.assert_array_equal(table.freq, want.freq)
 
     def test_scale_rounds_up_to_smallest_entry(self):
-        entry_tables = gaussian_tables(GAUSSIAN_SCALES)
+        entry_tables = gaussian_tables(GAUSSIAN_SCALES).tables
         between = 0.5 * (GAUSSIAN_SCALES[20] + GAUSSIAN_SCALES[21])
         scales = [1e-9, SCALE_MIN, GAUSSIAN_SCALES[33], between, SCALE_MAX, 1e3]
-        for scale, table in zip(scales, gaussian_tables(scales)):
+        tables = gaussian_tables(scales)
+        for scale, i in zip(scales, tables.index):
             clamped = min(max(scale, SCALE_MIN), SCALE_MAX)
             smallest = min(i for i, entry in enumerate(GAUSSIAN_SCALES) if entry >= clamped)
-            assert table is entry_tables[smallest]
-        assert gaussian_tables([between])[0] is entry_tables[21]
+            assert tables.tables[i] is entry_tables[smallest]
+        between_tables = gaussian_tables([between])
+        assert between_tables.tables[between_tables.index[0]] is entry_tables[21]
 
     def test_equal_scales_share_one_table(self):
         tables = gaussian_tables(np.full((2, 3, 4), 0.7))
         assert len(tables) == 24
-        assert all(t is tables[0] for t in tables)
-        assert gaussian_tables([0.7])[0] is tables[0]
+        assert np.all(tables.index == tables.index[0])
+        one = gaussian_tables([0.7])
+        assert one.tables[one.index[0]] is tables.tables[tables.index[0]]
 
 
 def _seeded_chunk(seed, n, scale_hi=6.0):
@@ -163,23 +168,24 @@ def _seeded_chunk(seed, n, scale_hi=6.0):
     lo, hi = row_support_bounds(means, scales)
     draws = rng.normal(means, clamped)
     symbols = np.clip(np.rint(draws), lo, hi).astype(np.int64)
-    cdfs = build_gaussian_cdf_rows(means, scales)
+    cdfs = TableSet(build_gaussian_cdf_rows(means, scales), np.arange(n))
     return symbols, cdfs, means, scales
 
 
 class TestRangeCoder:
     def test_empty_symbol_list(self):
-        payload = range_encode([], [])
+        empty = TableSet([], [])
+        payload = range_encode([], empty)
         assert len(payload) == 6
-        assert range_decode(payload, [], 0) == []
+        assert range_decode(payload, empty) == []
 
     def test_single_near_certain_symbol(self):
         freq = np.ones(17, dtype=np.int64)
         freq[8] = TOTAL - 16
-        cdf = QuantizedCdf(-8, freq)
-        payload = range_encode([0], [cdf])
+        cdf = TableSet([QuantizedCdf(-8, freq)], [0])
+        payload = range_encode([0], cdf)
         assert len(payload) <= 9
-        assert range_decode(payload, [cdf], 1) == [0]
+        assert range_decode(payload, cdf) == [0]
 
     def test_round_trip_seeded_configs(self):
         total_checked = 0
@@ -187,7 +193,7 @@ class TestRangeCoder:
             n = int(np.random.default_rng(seed + 5000).integers(1, 120))
             symbols, cdfs, _, _ = _seeded_chunk(seed, n)
             payload = range_encode(symbols, cdfs)
-            decoded = range_decode(payload, cdfs, n)
+            decoded = range_decode(payload, cdfs)
             np.testing.assert_array_equal(decoded, symbols)
             total_checked += 1
         assert total_checked == 200
@@ -196,7 +202,7 @@ class TestRangeCoder:
         n = 30_000
         symbols, cdfs, means, scales = _seeded_chunk(12345, n, scale_hi=4.0)
         payload = range_encode(symbols, cdfs)
-        decoded = range_decode(payload, cdfs, n)
+        decoded = range_decode(payload, cdfs)
         np.testing.assert_array_equal(decoded, symbols)
         ideal = estimate_bits(symbols, GaussianModel(means, scales))
         assert 8 * len(payload) <= ideal + 64
@@ -216,17 +222,19 @@ class TestRangeCoder:
         assert range_encode(symbols, cdfs) == range_encode(symbols, cdfs)
 
     def test_out_of_support_symbol_rejected(self):
-        cdf, _, hi = _gaussian_row(0.0, 1.0)
+        cdf, lo, hi = _gaussian_row(0.0, 1.0)
         with pytest.raises(UsageError):
-            range_encode([hi + 1], [cdf])
+            range_encode([hi + 1], TableSet([cdf], [0]))
+        with pytest.raises(UsageError):
+            range_encode([lo - 1], TableSet([cdf], [0]))
 
     def test_truncated_payload_detected(self):
         symbols, cdfs, _, _ = _seeded_chunk(5, 50)
         payload = range_encode(symbols, cdfs)
         with pytest.raises(CorruptStreamError):
-            range_decode(payload[: len(payload) // 2], cdfs, 50)
+            range_decode(payload[: len(payload) // 2], cdfs)
         with pytest.raises(CorruptStreamError):
-            range_decode(b"\x00\x01", cdfs[:1], 1)
+            range_decode(b"\x00\x01", TableSet(cdfs.tables, cdfs.index[:1]))
 
     def test_flipped_byte_never_crashes(self):
         symbols, cdfs, _, _ = _seeded_chunk(8, 200)
@@ -238,7 +246,7 @@ class TestRangeCoder:
             corrupted = bytearray(payload)
             corrupted[pos] ^= bit
             try:
-                out = range_decode(bytes(corrupted), cdfs, 200)
+                out = range_decode(bytes(corrupted), cdfs)
                 assert len(out) == 200  # garbage symbols are fine; crashing is not
             except CorruptStreamError:
                 pass
@@ -256,18 +264,18 @@ class TestRangeCoder:
         rng = np.random.default_rng(3)
         which = rng.integers(0, 3, size=4000)
         symbols = [tables[t].s_min + int(rng.integers(0, len(tables[t].freq))) for t in which]
-        cdfs = [tables[t] for t in which]
+        cdfs = TableSet(tables, which)
         payload = range_encode(symbols, cdfs)
         assert len(payload) == 3793
         assert hashlib.sha256(payload).hexdigest() == "f3c0507625cae05ccdb63cf119fbb410ab63a44e830f196477bc54d7b8cdb3c5"
-        assert range_decode(payload, cdfs, len(cdfs)) == symbols
+        assert range_decode(payload, cdfs) == symbols
 
     def test_count_cdf_mismatch_rejected(self):
         cdf, _, _ = _gaussian_row(0.0, 1.0)
         with pytest.raises(UsageError):
-            range_decode(b"\x00" * 6, [cdf], 2)
+            TableSet([cdf], [0, 1])
         with pytest.raises(UsageError):
-            range_encode([0, 0], [cdf])
+            range_encode([0, 0], TableSet([cdf], [0]))
 
 
 class TestEstimateBits:
@@ -293,11 +301,6 @@ class TestEstimateBits:
             p = 0.5 * (math.erf((s + 0.5 - mu) / (sig * math.sqrt(2))) - math.erf((s - 0.5 - mu) / (sig * math.sqrt(2))))
             total += -math.log2(max(p, 2.0**-60))
         assert abs(got - total) <= 1e-9 * abs(total)
-
-    def test_quantized_table_model(self):
-        cdf = QuantizedCdf(0, np.array([TOTAL // 4, TOTAL // 4, TOTAL // 2], dtype=np.int64))
-        bits = estimate_bits([0, 1, 2], [cdf, cdf, cdf])
-        assert abs(bits - (2.0 + 2.0 + 1.0)) < 1e-12
 
     def test_logistic_model_positive_and_finite(self):
         rng = np.random.default_rng(9)
