@@ -47,6 +47,7 @@ __all__ = [
     "SCALE_MAX",
     "SUPPORT_MULT",
     "GAUSSIAN_SCALES",
+    "MIN_PROB",
     "QuantizedCdf",
     "TableSet",
     "build_gaussian_cdf_rows",
@@ -74,7 +75,7 @@ SCALE_MAX = 16.0
 SUPPORT_MULT = 4.6
 
 _LOG2 = math.log(2.0)
-_MIN_PROB = 2.0**-60
+MIN_PROB = 2.0**-60  # floor of every bin probability a rate is charged
 
 
 class QuantizedCdf:
@@ -351,5 +352,5 @@ def estimate_bits(values, model) -> float:
         probs = _logistic_bin_probs(v, model.loc, model.scale)
     else:
         raise UsageError(f"unsupported model type {type(model).__name__}")
-    probs = np.maximum(probs, _MIN_PROB)
+    probs = np.maximum(probs, MIN_PROB)
     return float(-np.sum(np.log(probs)) / _LOG2)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .entropy import SCALE_MAX, SCALE_MIN
+from .entropy import MIN_PROB, SCALE_MAX, SCALE_MIN
 from .errors import UsageError
 from .fusion import ContextPyramid, FusionMode, MultiRefFusion
 from .network import Conv, ParamStore, ResBlock, read_manifest, save_weights
@@ -229,17 +229,11 @@ class CodecModel:
         """
         d = values - mean
         u = d * Tensor(np.where(d.data > 0.0, -1.0, 1.0))
-        hi = std_normal_cdf((u + 0.5) / scale)
-        lo = std_normal_cdf((u - 0.5) / scale)
-        p = clamp(hi - lo, lo=1e-12)
-        return sum_all(log(p)) * Tensor(-1.0 / np.log(2.0))
+        return _bin_bits(std_normal_cdf((u + 0.5) / scale), std_normal_cdf((u - 0.5) / scale))
 
     def factorized_rate_bits(self, values: Tensor, which: str) -> Tensor:
         loc, scale = self.prior_params(which)
-        hi = sigmoid((values + 0.5 - loc) / scale)
-        lo = sigmoid((values - 0.5 - loc) / scale)
-        p = clamp(hi - lo, lo=1e-12)
-        return sum_all(log(p)) * Tensor(-1.0 / np.log(2.0))
+        return _bin_bits(sigmoid((values + 0.5 - loc) / scale), sigmoid((values - 0.5 - loc) / scale))
 
     # -- persistence -----------------------------------------------------
 
@@ -263,6 +257,11 @@ class CodecModel:
         model = cls(config, seed=0)
         model.store.load(manifest_path.parent / manifest["data_file"], manifest["params"])
         return model
+
+
+def _bin_bits(cdf_hi: Tensor, cdf_lo: Tensor) -> Tensor:
+    """Summed -log2 of the bin masses cdf_hi - cdf_lo, floored at MIN_PROB as `estimate_bits` floors them."""
+    return sum_all(log(clamp(cdf_hi - cdf_lo, lo=MIN_PROB))) * Tensor(-1.0 / np.log(2.0))
 
 
 def _to_scale(raw: Tensor) -> Tensor:

@@ -37,16 +37,18 @@ def _toy_model(seed=0, **kw):
 
 class TestRateTerms:
     def test_gaussian_rate_symmetric_in_the_far_tails(self):
-        # 7 sigma out the bin mass (4e-11) is above the 1e-12 floor, and an
-        # upper-tail difference of two CDF values near 1 keeps about five digits.
+        # 7 and 8 sigma out the bin masses (4e-11 and 3e-14) are above the
+        # 2^-60 floor, and an upper-tail difference of two CDF values near 1
+        # keeps about five digits at 7 sigma and two at 8.
         model = _toy_model()
         mean, scale = np.array([0.5]), np.array([1.0])
         bits = {}
-        for v in (7.5, -6.5):
+        for v in (7.5, -6.5, 8.5, -7.5):
             bits[v] = float(model.gaussian_rate_bits(Tensor(np.array([v])), Tensor(mean), Tensor(scale)).data)
             want = estimate_bits([v], GaussianModel(mean, scale))
             assert abs(bits[v] - want) <= 1e-9 * want
         assert bits[7.5] == bits[-6.5]
+        assert bits[8.5] == bits[-7.5]
 
 
 class TestAdam:
