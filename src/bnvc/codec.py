@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from .bitstream import (
-    FRAME_TYPE_INTER,
     FRAME_TYPE_INTRA,
     BitstreamReader,
     BitstreamWriter,
@@ -416,12 +415,10 @@ def decode_sequence(
             pixels = np.frombuffer(record, dtype=np.uint8).reshape(3, h, w).copy()
             dpb.clear()
             frame = intra_frame(model, pixels, index)
-        elif ftype == FRAME_TYPE_INTER:
+        else:  # FRAME_TYPE_INTER; the reader rejects any other type
             if len(dpb) == 0:
                 raise CorruptStreamError("inter record with an empty decoded buffer")
             frame = decode_frame(record, index, dpb, model, policy, (h, w))
-        else:  # pragma: no cover - reader already rejects unknown types
-            raise CorruptStreamError(f"unknown record type {ftype}")
         dpb.push(frame)
         out.append(frame.pixels)
         index += 1

@@ -37,9 +37,7 @@ from .errors import ShapeError, UsageError
 __all__ = [
     "Tensor",
     "no_grad",
-    "is_grad_enabled",
     "backward",
-    "zero_grads",
     "conv2d",
     "bilinear_resize",
     "warp_bilinear",
@@ -73,10 +71,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """N-dimensional float64 array with an optional gradient slot.
 
@@ -102,9 +96,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -198,11 +189,6 @@ def backward(output: Tensor, seed=None) -> None:
             if grad is None or not parent.requires_grad:
                 continue
             parent.grad = grad if parent.grad is None else parent.grad + grad
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -2,6 +2,8 @@
 frame and sequence round trips, corruption detection, and refusal paths.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -419,6 +421,46 @@ class TestSequenceRoundTrip:
         bad[23 + 5 + 100] ^= 0x10  # inside the intra raw block
         with pytest.raises(BnvcError):
             decode_sequence(bytes(bad), model)
+
+
+class TestDecodeFuzz:
+    """Seeded corruption of a toy stream: only package errors escape the decoder."""
+
+    def _inter_records(self, data):
+        """(start, end) of each inter record, start at its type byte."""
+        reader = BitstreamReader(data)
+        spans = []
+        while not reader.at_end():
+            start = reader.pos
+            ftype, _ = reader.next_record()
+            if ftype == 1:
+                spans.append((start, reader.pos))
+        return spans
+
+    def _outcome(self, data, model):
+        try:
+            decode_sequence(data, model)
+        except BnvcError as err:
+            return type(err).__name__
+        return "decoded"
+
+    def test_only_package_errors_escape(self):
+        model = _model()
+        data, _, _ = encode_sequence(_sequence(seed=24, n=3), model, NEAR)
+        spans = self._inter_records(data)
+        assert len(spans) == 2
+        rng = np.random.default_rng(2026)
+        outcomes = []
+        for _ in range(70):
+            start, end = spans[int(rng.integers(0, len(spans)))]
+            bad = bytearray(data)
+            for pos in rng.choice(np.arange(start + 5, end), size=int(rng.integers(1, 5)), replace=False):
+                bad[pos] = int(rng.integers(0, 256))
+            bad[start + 1 : start + 5] = zlib.crc32(bad[start + 5 : end]).to_bytes(4, "little")
+            outcomes.append(self._outcome(bytes(bad), model))
+        for cut in rng.integers(0, len(data), size=30):
+            outcomes.append(self._outcome(data[:cut], model))
+        assert "CorruptStreamError" in outcomes and "decoded" in outcomes
 
 
 def _patched(data, offset, value):
