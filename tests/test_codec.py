@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from bnvc.bitstream import BitstreamReader, FrameChunk
+from bnvc.bitstream import FRAME_TYPE_INTER, BitstreamReader, FrameChunk
 import bnvc.codec as codec
 from bnvc.codec import (
     Decode,
@@ -433,7 +433,7 @@ class TestDecodeFuzz:
         while not reader.at_end():
             start = reader.pos
             ftype, _ = reader.next_record()
-            if ftype == 1:
+            if ftype == FRAME_TYPE_INTER:
                 spans.append((start, reader.pos))
         return spans
 

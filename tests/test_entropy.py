@@ -145,10 +145,10 @@ class TestScaleTable:
         between = 0.5 * (GAUSSIAN_SCALES[20] + GAUSSIAN_SCALES[21])
         scales = [1e-9, SCALE_MIN, GAUSSIAN_SCALES[33], between, SCALE_MAX, 1e3]
         tables = gaussian_tables(scales)
-        for scale, i in zip(scales, tables.index):
+        for scale, t in zip(scales, tables.index):
             clamped = min(max(scale, SCALE_MIN), SCALE_MAX)
             smallest = min(i for i, entry in enumerate(GAUSSIAN_SCALES) if entry >= clamped)
-            assert tables.tables[i] is entry_tables[smallest]
+            assert tables.tables[t] is entry_tables[smallest]
         between_tables = gaussian_tables([between])
         assert between_tables.tables[between_tables.index[0]] is entry_tables[21]
 
