@@ -1,26 +1,27 @@
-"""Coding sessions: decoded-frame buffer, reference handling, and the
-one inter-frame step shared by training, encoding and decoding.
+"""Coding sessions: reference handling and the one inter-frame step
+shared by training, encoding and decoding.
 
 `inter_step` runs block-matching motion against the newest reference,
-the motion autoencoder, cumulative reference flows, warping of the
-stored reference features, fusion into the context pyramid, the
-contextual autoencoder conditioned on it, and the frame generator,
-which emits the reconstruction plus the feature stored for future
-references. At its four latent points (mv-hyper, mv-main, ctx-hyper,
-ctx-main, in that order) a bottleneck decides what happens: `Noise`
-adds uniform noise and sums the differentiable rate (training),
-`Encode` rounds and range-codes the symbols, `Decode` reads them back.
-The encoder thus reconstructs through exactly the float operations the
-decoder runs, so both buffers hold bit-identical pixels, features and
-flows at every time step (drift-free by construction, asserted by
-tests).
+the motion autoencoder, one cumulative flow and one feature warp per
+decoded reference, duplication of the warped features up to the fusion
+width by the policy, fusion into the context pyramid, the contextual
+autoencoder conditioned on it, and the frame generator, which emits
+the reconstruction plus the feature stored for future references. At
+its four latent points (mv-hyper, mv-main, ctx-hyper, ctx-main, in
+that order) a bottleneck decides what happens: `Noise` adds uniform
+noise and sums the differentiable rate (training), `Encode` rounds and
+range-codes the symbols, `Decode` reads them back. The encoder thus
+reconstructs through exactly the float operations the decoder runs, so
+both sides hold bit-identical pixels, features and flows at every time
+step (drift-free by construction, asserted by tests).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .tensor import Tensor, no_grad, warp_bilinear
 
 __all__ = [
     "Frame",
-    "DecodedBuffer",
     "reference_flows",
     "intra_frame",
     "pixels_to_tensor",
@@ -77,57 +77,19 @@ class Frame:
         return self.pixels.shape[1], self.pixels.shape[2]
 
 
-class DecodedBuffer:
-    """Ring of the most recent decoded frames, oldest to newest."""
-
-    def __init__(self, capacity: int = 4):
-        if capacity < 1:
-            raise UsageError(f"buffer capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._frames: list[Frame] = []
-
-    def push(self, frame: Frame) -> None:
-        if self._frames and frame.index <= self._frames[-1].index:
-            raise UsageError(
-                f"frame indices must increase: got {frame.index} after {self._frames[-1].index}"
-            )
-        self._frames.append(frame)
-        if len(self._frames) > self.capacity:
-            self._frames = self._frames[-self.capacity :]
-
-    def clear(self) -> None:
-        self._frames = []
-
-    def frames(self) -> list[Frame]:
-        return list(self._frames)
-
-    def __len__(self) -> int:
-        return len(self._frames)
-
-
-def reference_flows(refs: list[Frame], newest_flow: Tensor) -> list[Tensor]:
+def reference_flows(frames: Sequence[Frame], newest_flow: Tensor) -> list[Tensor]:
     """Cumulative current-to-reference flows, oldest to newest.
 
-    The newest reference uses the just-decoded flow directly; each older
-    distinct reference chains one more stored flow through composition;
-    duplicated entries reuse the duplicated frame's cumulative flow.
+    The newest frame uses the just-decoded flow directly; each older
+    frame chains one more stored flow through composition. The frames
+    must have consecutive indices.
     """
-    n = len(refs)
-    flows: list[Optional[Tensor]] = [None] * n
-    flows[n - 1] = newest_flow
-    for i in range(n - 2, -1, -1):
-        if refs[i].index == refs[i + 1].index:
-            flows[i] = flows[i + 1]
-            continue
-        if refs[i].index != refs[i + 1].index - 1:
-            raise UsageError(
-                f"reference indices must be consecutive, got {refs[i].index} before {refs[i + 1].index}"
-            )
-        step = refs[i + 1].flow
-        if step is None:
-            step = Tensor(np.zeros_like(newest_flow.data))
-        flows[i] = compose_flows(flows[i + 1], step)
-    return flows  # type: ignore[return-value]
+    flows = [newest_flow]
+    for older, newer in reversed(list(zip(frames, frames[1:]))):
+        if older.index != newer.index - 1:
+            raise UsageError(f"reference indices must be consecutive, got {older.index} before {newer.index}")
+        flows.append(compose_flows(flows[-1], newer.flow))
+    return flows[::-1]
 
 
 def ensure_feature(model: CodecModel, frame: Frame) -> Tensor:
@@ -220,8 +182,12 @@ class Decode:
 
 # -- the inter-frame step -------------------------------------------------------
 
-def inter_step(model: CodecModel, x: Optional[np.ndarray], refs: list[Frame], bottleneck) -> tuple[Tensor, Tensor, Tensor]:
-    """Code one inter frame against `refs` (oldest to newest, padded).
+def inter_step(
+    model: CodecModel, x: Optional[np.ndarray], refs: Sequence[Frame], policy: DuplicationPolicy, bottleneck
+) -> tuple[Tensor, Tensor, Tensor]:
+    """Code one inter frame against `refs`, the decoded frames (oldest to
+    newest, at most `n_ref`). Each is warped once; `policy` pads the
+    warped features to the fusion's `n_ref` inputs.
 
     `x` holds the frame's uint8 pixels, or None when decoding: then
     neither motion search nor the analysis transforms run, and the
@@ -229,6 +195,8 @@ def inter_step(model: CodecModel, x: Optional[np.ndarray], refs: list[Frame], bo
     the float reconstruction, the feature stored for later references,
     and the decoded flow to the newest reference.
     """
+    if not refs:
+        raise UsageError("an inter frame needs at least one decoded reference")
     h, w = refs[-1].hw
     lhw, zhw = model.latent_hw(h, w), model.hyper_hw(h, w)
     x_t = y_v = z_v = y = z = None
@@ -244,8 +212,8 @@ def inter_step(model: CodecModel, x: Optional[np.ndarray], refs: list[Frame], bo
     mean, scale = model.mv_hyper_synthesize(z_v_hat, lhw)
     v_hat = model.mv_synthesize(bottleneck.main(model, y_v, mean, scale), (h, w))
 
-    flows = reference_flows(refs, v_hat)
-    ctx = model.fusion([warp_bilinear(ensure_feature(model, ref), fl) for ref, fl in zip(refs, flows)])
+    warped = [warp_bilinear(ensure_feature(model, ref), fl) for ref, fl in zip(refs, reference_flows(refs, v_hat))]
+    ctx = model.fusion(pad_references(warped, model.config.n_ref, policy))
 
     if x_t is not None:
         y = model.ctx_analyze(x_t, ctx)
@@ -260,32 +228,30 @@ def inter_step(model: CodecModel, x: Optional[np.ndarray], refs: list[Frame], bo
 def encode_frame(
     pixels: np.ndarray,
     index: int,
-    dpb: DecodedBuffer,
+    dpb: Sequence[Frame],
     model: CodecModel,
     policy: DuplicationPolicy,
 ) -> tuple[FrameChunk, Frame]:
-    """Code one inter frame against the decoded buffer state."""
-    refs = pad_references(dpb.frames(), model.config.n_ref, policy)
+    """Code one inter frame against the decoded frames `dpb`."""
     coder = Encode()
     with no_grad():
-        x_hat, feature, v_hat = inter_step(model, pixels, refs, coder)
+        x_hat, feature, v_hat = inter_step(model, pixels, list(dpb), policy, coder)
     return FrameChunk(*coder.payloads), Frame(to_uint8(x_hat.data), index, feature=feature, flow=v_hat)
 
 
 def decode_frame(
     chunk: FrameChunk,
     index: int,
-    dpb: DecodedBuffer,
+    dpb: Sequence[Frame],
     model: CodecModel,
     policy: DuplicationPolicy,
     frame_hw: tuple[int, int],
 ) -> Frame:
-    """Mirror of encode_frame; requires the encoder's buffer state."""
-    refs = pad_references(dpb.frames(), model.config.n_ref, policy)
-    if refs[-1].hw != tuple(frame_hw):
-        raise UsageError(f"frame size {frame_hw} does not match references {refs[-1].hw}")
+    """Mirror of encode_frame; requires the encoder's decoded frames."""
+    if dpb and dpb[-1].hw != tuple(frame_hw):
+        raise UsageError(f"frame size {frame_hw} does not match references {dpb[-1].hw}")
     with no_grad():
-        x_hat, feature, v_hat = inter_step(model, None, refs, Decode(chunk))
+        x_hat, feature, v_hat = inter_step(model, None, list(dpb), policy, Decode(chunk))
     return Frame(to_uint8(x_hat.data), index, feature=feature, flow=v_hat)
 
 
@@ -343,7 +309,7 @@ def encode_sequence(
         weights_hash=weights_hash,
     )
     writer = BitstreamWriter(header)
-    dpb = DecodedBuffer(capacity=model.config.n_ref)
+    dpb = deque(maxlen=model.config.n_ref)
     recons = np.empty_like(frames)
     types: list[str] = []
     psnrs: list[float] = []
@@ -357,7 +323,7 @@ def encode_sequence(
             chunk, frame = encode_frame(frames[i], i, dpb, model, policy)
             writer.add_inter(chunk)
             types.append("P")
-        dpb.push(frame)
+        dpb.append(frame)
         recons[i] = frame.pixels
         psnrs.append(psnr(frames[i], frame.pixels))
     data = writer.getvalue()
@@ -406,7 +372,7 @@ def decode_sequence(
         raise UsageError(
             f"stream header says policy {policy.value!r}, refusing requested {expected_policy.value!r}"
         )
-    dpb = DecodedBuffer(capacity=model.config.n_ref)
+    dpb = deque(maxlen=model.config.n_ref)
     out: list[np.ndarray] = []
     index = 0
     while not reader.at_end():
@@ -416,10 +382,10 @@ def decode_sequence(
             dpb.clear()
             frame = intra_frame(model, pixels, index)
         else:  # FRAME_TYPE_INTER; the reader rejects any other type
-            if len(dpb) == 0:
+            if not dpb:
                 raise CorruptStreamError("inter record with an empty decoded buffer")
             frame = decode_frame(record, index, dpb, model, policy, (h, w))
-        dpb.push(frame)
+        dpb.append(frame)
         out.append(frame.pixels)
         index += 1
     if not out:

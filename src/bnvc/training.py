@@ -14,15 +14,16 @@ constant).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .codec import DecodedBuffer, Frame, Noise, encode_sequence, inter_step, pixels_to_tensor, to_uint8
+from .codec import Frame, Noise, encode_sequence, inter_step, pixels_to_tensor, to_uint8
 from .errors import BnvcError, UsageError
 from .model import LAMBDA_VALUES, CodecModel
-from .policies import DuplicationPolicy, pad_references
+from .policies import DuplicationPolicy
 from .tensor import Tensor, mean_all
 
 __all__ = [
@@ -139,8 +140,7 @@ def rollout_loss(
     """
     n_frames = window.shape[0]
     h, w = int(window.shape[2]), int(window.shape[3])
-    dpb = DecodedBuffer(capacity=model.config.n_ref)
-    dpb.push(Frame(window[0], 0))
+    dpb = deque([Frame(window[0], 0)], maxlen=model.config.n_ref)
 
     total: Optional[Tensor] = None
     bits_sum = 0.0
@@ -149,15 +149,14 @@ def rollout_loss(
     lam_t = Tensor(float(lam))
     for t in range(1, n_frames):
         noise = Noise(rng)
-        refs = pad_references(dpb.frames(), model.config.n_ref, policy)
-        x_hat, feature, v_hat = inter_step(model, window[t], refs, noise)
+        x_hat, feature, v_hat = inter_step(model, window[t], list(dpb), policy, noise)
         diff = pixels_to_tensor(window[t]) - x_hat
         dist = mean_all(diff * diff)
         loss_t = lam_t * dist + noise.bits * inv_pixels
         total = loss_t if total is None else total + loss_t
         bits_sum += float(noise.bits.data)
         mse_sum += float(dist.data)
-        dpb.push(Frame(to_uint8(x_hat.data), t, feature=feature, flow=v_hat))
+        dpb.append(Frame(to_uint8(x_hat.data), t, feature=feature, flow=v_hat))
 
     n_inter = n_frames - 1
     return total, bits_sum / (n_inter * h * w), mse_sum / n_inter

@@ -3,6 +3,7 @@ frame and sequence round trips, corruption detection, and refusal paths.
 """
 
 import zlib
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from bnvc.bitstream import FRAME_TYPE_INTER, BitstreamReader, FrameChunk
 import bnvc.codec as codec
 from bnvc.codec import (
     Decode,
-    DecodedBuffer,
     Encode,
     EncodeStats,
     Frame,
@@ -50,79 +50,82 @@ def _frame(index, seed=None, h=32, w=32):
 
 class TestReferenceSet:
     def test_single_frame_pads_identically_for_both_policies(self):
-        dpb = DecodedBuffer(4)
+        dpb = deque(maxlen=4)
         f1 = _frame(0)
-        dpb.push(f1)
+        dpb.append(f1)
         for policy in (NEAR, FURTHER):
-            refs = pad_references(dpb.frames(), 4, policy)
+            refs = pad_references(dpb, 4, policy)
             assert refs == [f1, f1, f1, f1]
 
     def test_two_frames_policies_differ(self):
-        dpb = DecodedBuffer(4)
+        dpb = deque(maxlen=4)
         f1, f2 = _frame(0), _frame(1)
-        dpb.push(f1)
-        dpb.push(f2)
-        assert pad_references(dpb.frames(), 4, NEAR) == [f1, f2, f2, f2]
-        assert pad_references(dpb.frames(), 4, FURTHER) == [f1, f1, f1, f2]
+        dpb.append(f1)
+        dpb.append(f2)
+        assert pad_references(dpb, 4, NEAR) == [f1, f2, f2, f2]
+        assert pad_references(dpb, 4, FURTHER) == [f1, f1, f1, f2]
 
     def test_full_buffer_no_duplication(self):
-        dpb = DecodedBuffer(4)
+        dpb = deque(maxlen=4)
         frames = [_frame(i) for i in range(4)]
         for f in frames:
-            dpb.push(f)
-        assert pad_references(dpb.frames(), 4, NEAR) == frames
-        assert pad_references(dpb.frames(), 4, FURTHER) == frames
+            dpb.append(f)
+        assert pad_references(dpb, 4, NEAR) == frames
+        assert pad_references(dpb, 4, FURTHER) == frames
 
     def test_empty_buffer_rejected(self):
         with pytest.raises(UsageError):
-            pad_references(DecodedBuffer(4).frames(), 4, NEAR)
-
-    def test_buffer_capacity_and_ordering(self):
-        dpb = DecodedBuffer(3)
-        for i in range(5):
-            dpb.push(_frame(i))
-        assert [f.index for f in dpb.frames()] == [2, 3, 4]
-        with pytest.raises(UsageError):
-            dpb.push(_frame(2))
+            pad_references(deque(maxlen=4), 4, NEAR)
 
 
 class TestReferenceFlows:
     def test_newest_flow_is_exact(self):
-        dpb = DecodedBuffer(4)
+        dpb = deque(maxlen=4)
         for i in range(4):
             f = _frame(i)
             f.flow = Tensor(np.full((2, 32, 32), float(i)))
-            dpb.push(f)
+            dpb.append(f)
         v = Tensor(np.random.default_rng(0).normal(size=(2, 32, 32)))
-        flows = reference_flows(pad_references(dpb.frames(), 4, NEAR), v)
+        flows = reference_flows(list(dpb), v)
         assert flows[-1] is v
 
-    def test_duplicates_reuse_cumulative_flow(self):
-        dpb = DecodedBuffer(4)
-        f1, f2 = _frame(0), _frame(1)
-        f2.flow = Tensor(np.random.default_rng(1).normal(size=(2, 32, 32)) * 0.5)
-        dpb.push(f1)
-        dpb.push(f2)
-        v = Tensor(np.random.default_rng(2).normal(size=(2, 32, 32)) * 0.5)
-        near_flows = reference_flows(pad_references(dpb.frames(), 4, NEAR), v)
-        # [f1, f2, f2, f2]: the duplicated f2 entries share the newest flow
-        assert near_flows[1] is v and near_flows[2] is v and near_flows[3] is v
-        assert near_flows[0] is not v
-        further_flows = reference_flows(pad_references(dpb.frames(), 4, FURTHER), v)
-        # [f1, f1, f1, f2]: all three f1 entries share one composed flow
-        assert further_flows[0] is further_flows[1] is further_flows[2]
-        np.testing.assert_array_equal(near_flows[0].data, further_flows[0].data)
+    def test_non_consecutive_frames_rejected(self):
+        frames = [_frame(i) for i in (2, 3, 5)]
+        for f in frames:
+            f.flow = Tensor(np.zeros((2, 32, 32)))
+        with pytest.raises(UsageError, match="consecutive"):
+            reference_flows(frames, Tensor(np.zeros((2, 32, 32))))
 
     def test_intra_reference_contributes_zero_step(self):
-        dpb = DecodedBuffer(4)
         intra = _frame(0)  # flow None
-        dpb.push(intra)
         p1 = _frame(1)
         p1.flow = Tensor(np.zeros((2, 32, 32)))
-        dpb.push(p1)
         v = Tensor(np.full((2, 32, 32), 0.25))
-        flows = reference_flows(pad_references(dpb.frames(), 4, FURTHER), v)
+        flows = reference_flows([intra, p1], v)
         np.testing.assert_allclose(flows[0].data, 0.25, rtol=0, atol=1e-12)
+
+    def test_one_warp_per_decoded_frame(self, monkeypatch):
+        """Each decoded frame is warped once; the policy pads the warped list."""
+        model = _model()
+        model.prepare_for_coding()
+        seq = _sequence(seed=25, n=5)
+        dpb = deque([intra_frame(model, seq[0], 0)], maxlen=4)
+        for i in range(1, 4):
+            dpb.append(encode_frame(seq[i], i, dpb, model, NEAR)[1])
+        warps, fused = [], []
+        real_warp, real_fusion = codec.warp_bilinear, model.fusion
+        monkeypatch.setattr(codec, "warp_bilinear", lambda *a: warps.append(real_warp(*a)) or warps[-1])
+        monkeypatch.setattr(model, "fusion", lambda warped: fused.append(warped) or real_fusion(warped))
+        for n in (1, 2, 4):
+            for policy in (NEAR, FURTHER):
+                warps.clear()
+                fused.clear()
+                with no_grad():
+                    inter_step(model, seq[4], list(dpb)[4 - n :], policy, Encode())
+                assert len(warps) == n
+                padded = pad_references(warps, 4, policy)
+                assert len(fused) == 1 and len(fused[0]) == 4
+                assert all(got is want for got, want in zip(fused[0], padded))
 
 
 class _Recorder:
@@ -154,9 +157,8 @@ def _moved_frames(seed):
 
 
 def _encode_step(model, ref, cur, coder):
-    refs = pad_references([intra_frame(model, ref, 0)], model.config.n_ref, NEAR)
     with no_grad():
-        _, _, v_hat = inter_step(model, cur, refs, coder)
+        _, _, v_hat = inter_step(model, cur, [intra_frame(model, ref, 0)], NEAR, coder)
     return v_hat
 
 
@@ -169,9 +171,8 @@ class TestMotionCoding:
         ref, cur = _moved_frames(3)
         coder = Encode()
         v_hat_enc = _encode_step(model, ref, cur, coder)
-        refs = pad_references([intra_frame(model, ref, 0)], 4, NEAR)
         with no_grad():
-            _, _, v_hat_dec = inter_step(model, None, refs, Decode(FrameChunk(*coder.payloads)))
+            _, _, v_hat_dec = inter_step(model, None, [intra_frame(model, ref, 0)], NEAR, Decode(FrameChunk(*coder.payloads)))
         assert v_hat_enc.data.tobytes() == v_hat_dec.data.tobytes()
 
     def test_payload_deterministic(self):
@@ -240,13 +241,10 @@ class TestEntropyTables:
             for name in ("build_gaussian_cdf_rows", "build_logistic_cdf_rows"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(getattr(module, name)))
-        dpb = DecodedBuffer(4)
         seq = _sequence(seed=12, n=2)
-        dpb.push(intra_frame(model, seq[0], 0))
         coder = _Recorder(Encode())
-        refs = pad_references(dpb.frames(), 4, NEAR)
         with no_grad():
-            inter_step(model, seq[1], refs, coder)
+            inter_step(model, seq[1], [intra_frame(model, seq[0], 0)], NEAR, coder)
         n_symbols = sum(out.size for out, _, _ in coder.outputs)
         assert n_symbols > 1000
         assert sum(rows) <= 64 + model.config.mv_hyper + model.config.ctx_hyper
@@ -280,20 +278,20 @@ class TestFrameRoundTrip:
         model = _model()
         model.prepare_for_coding()
         seq = _sequence(seed=10)
-        dpb_enc = DecodedBuffer(4)
-        dpb_dec = DecodedBuffer(4)
+        dpb_enc = deque(maxlen=4)
+        dpb_dec = deque(maxlen=4)
         first_enc = intra_frame(model, seq[0], 0)
         first_dec = intra_frame(model, seq[0], 0)
-        dpb_enc.push(first_enc)
-        dpb_dec.push(first_dec)
+        dpb_enc.append(first_enc)
+        dpb_dec.append(first_dec)
         for i in range(1, 5):
             chunk, recon = encode_frame(seq[i], i, dpb_enc, model, NEAR)
             decoded = decode_frame(chunk, i, dpb_dec, model, NEAR, (32, 32))
             assert recon.pixels.tobytes() == decoded.pixels.tobytes()
             assert recon.feature.data.tobytes() == decoded.feature.data.tobytes()
             assert recon.flow.data.tobytes() == decoded.flow.data.tobytes()
-            dpb_enc.push(recon)
-            dpb_dec.push(decoded)
+            dpb_enc.append(recon)
+            dpb_dec.append(decoded)
 
     def test_encode_deterministic(self):
         model = _model()
@@ -301,8 +299,8 @@ class TestFrameRoundTrip:
         seq = _sequence(seed=11)
         outs = []
         for _ in range(2):
-            dpb = DecodedBuffer(4)
-            dpb.push(intra_frame(model, seq[0], 0))
+            dpb = deque(maxlen=4)
+            dpb.append(intra_frame(model, seq[0], 0))
             chunk, recon = encode_frame(seq[1], 1, dpb, model, NEAR)
             outs.append((chunk, recon.pixels.tobytes()))
         assert outs[0][0] == outs[1][0]
@@ -311,11 +309,13 @@ class TestFrameRoundTrip:
     def test_empty_dpb_rejected(self):
         model = _model()
         with pytest.raises(UsageError):
-            encode_frame(_sequence()[1], 1, DecodedBuffer(4), model, NEAR)
+            encode_frame(_sequence()[1], 1, deque(maxlen=4), model, NEAR)
+        with pytest.raises(UsageError):
+            decode_frame(FrameChunk(b"", b"", b"", b""), 1, deque(maxlen=4), model, NEAR, (32, 32))
 
     def test_indivisible_frame_rejected(self):
         model = _model()
-        dpb = DecodedBuffer(4)
+        dpb = deque(maxlen=4)
         bad = np.zeros((3, 30, 32), dtype=np.uint8)
         with pytest.raises(UsageError):
             encode_frame(bad, 1, dpb, model, NEAR)
