@@ -230,18 +230,8 @@ def range_encode(symbols, tables: TableSet) -> bytes:
         i = outside[0]
         raise UsageError(f"symbol {sym[i]} outside CDF support [{lo[i]}, {hi[i]}]")
     cums = [t.cum.tolist() for t in tables.tables]
-    low, rng, cache, pending = 0, _RANGE_TOP - 1, 0, 1
-    out = bytearray()
-
-    def shift_low(low, cache, pending):
-        """Move low's top byte out, resolving a carry into the cached bytes."""
-        if low < 0xFF_0000_0000 or low > _LOW_MASK:
-            carry = low >> 40
-            out.append((cache + carry) & 0xFF)
-            out.extend(((0xFF + carry) & 0xFF,) * (pending - 1))
-            cache, pending = (low >> 32) & 0xFF, 0
-        return (low << 8) & _LOW_MASK, cache, pending + 1
-
+    low, rng = 0, _RANGE_TOP - 1
+    out = bytearray(1)  # a leading zero byte: no carry ever reaches it
     for t, k in zip(tables.index.tolist(), (sym - lo).tolist()):
         cum = cums[t]
         cum_lo, cum_hi = cum[k], cum[k + 1]
@@ -251,11 +241,18 @@ def range_encode(symbols, tables: TableSet) -> bytes:
             rng -= r * cum_lo  # the top interval absorbs the division remainder
         else:
             rng = r * (cum_hi - cum_lo)
+        if low > _LOW_MASK:  # carry into the bytes already written
+            low &= _LOW_MASK
+            i = len(out) - 1
+            while out[i] == 0xFF:
+                out[i] = 0
+                i -= 1
+            out[i] += 1
         while rng < _RANGE_BOT:
-            low, cache, pending = shift_low(low, cache, pending)
+            out.append(low >> 32)
+            low = (low << 8) & _LOW_MASK
             rng <<= 8
-    for _ in range(_FLUSH_BYTES):
-        low, cache, pending = shift_low(low, cache, pending)
+    out += low.to_bytes(_FLUSH_BYTES - 1, "big")
     return bytes(out)
 
 
@@ -266,7 +263,7 @@ def range_decode(payload: bytes, tables: TableSet) -> list[int]:
     cums = [t.cum.tolist() for t in tables.tables]
     s_mins = tables.s_min.tolist()
     end = len(payload)
-    # byte 0 is the encoder's leading cache byte
+    # byte 0 is the encoder's leading zero byte
     code, pos, rng = int.from_bytes(payload[1:_FLUSH_BYTES], "big"), _FLUSH_BYTES, _RANGE_TOP - 1
     out = []
     for t in tables.index.tolist():
