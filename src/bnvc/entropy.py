@@ -310,23 +310,14 @@ class UniformModel:
     support_size: int
 
 
-def _gaussian_bin_probs(values, mean, scale) -> np.ndarray:
+def _bin_probs(values, loc, scale, cdf) -> np.ndarray:
+    """Unit-bin masses of `values` under `cdf((x - loc) / scale)`, taken at
+    -|values - loc| (the mass is symmetric about `loc`), where both CDF terms
+    are small and their difference keeps its digits."""
     v = np.asarray(values, dtype=np.float64)
-    mu = np.broadcast_to(np.asarray(mean, dtype=np.float64), v.shape)
-    sigma = np.broadcast_to(clamp_scale(scale), v.shape)
-    z_hi = (v + 0.5 - mu) / sigma
-    z_lo = (v - 0.5 - mu) / sigma
-    # evaluate in the tail-stable direction
-    upper = _special.ndtr(z_hi) - _special.ndtr(z_lo)
-    lower = _special.ndtr(-z_lo) - _special.ndtr(-z_hi)
-    return np.where(z_hi < 0.0, upper, lower)
-
-
-def _logistic_bin_probs(values, loc, scale) -> np.ndarray:
-    v = np.asarray(values, dtype=np.float64)
-    mu = np.broadcast_to(np.asarray(loc, dtype=np.float64), v.shape)
-    s = np.broadcast_to(clamp_scale(scale), v.shape)
-    return _special.expit((v + 0.5 - mu) / s) - _special.expit((v - 0.5 - mu) / s)
+    u = -np.abs(v - np.asarray(loc, dtype=np.float64))
+    s = clamp_scale(scale)
+    return cdf((u + 0.5) / s) - cdf((u - 0.5) / s)
 
 
 def estimate_bits(values, model) -> float:
@@ -344,9 +335,9 @@ def estimate_bits(values, model) -> float:
             raise UsageError("uniform model needs support_size >= 1")
         return float(v.size * math.log2(model.support_size))
     if isinstance(model, GaussianModel):
-        probs = _gaussian_bin_probs(v, model.mean, model.scale)
+        probs = _bin_probs(v, model.mean, model.scale, _special.ndtr)
     elif isinstance(model, LogisticModel):
-        probs = _logistic_bin_probs(v, model.loc, model.scale)
+        probs = _bin_probs(v, model.loc, model.scale, _special.expit)
     else:
         raise UsageError(f"unsupported model type {type(model).__name__}")
     probs = np.maximum(probs, MIN_PROB)

@@ -220,20 +220,13 @@ class CodecModel:
         return loc, _to_scale(self.store[f"{which}_prior.log_scale"])
 
     def gaussian_rate_bits(self, values: Tensor, mean: Tensor, scale: Tensor) -> Tensor:
-        """Differentiable unit-bin Gaussian code length, in bits.
-
-        The bin mass is symmetric about the mean, so it is taken at
-        -|values - mean|: in the lower tail both CDF terms are small and
-        their difference keeps its digits, where in the upper tail both
-        would be near 1 and cancel.
-        """
-        d = values - mean
-        u = d * Tensor(np.where(d.data > 0.0, -1.0, 1.0))
-        return _bin_bits(std_normal_cdf((u + 0.5) / scale), std_normal_cdf((u - 0.5) / scale))
+        """Differentiable unit-bin Gaussian code length, in bits."""
+        return _bin_bits(values, mean, scale, std_normal_cdf)
 
     def factorized_rate_bits(self, values: Tensor, which: str) -> Tensor:
+        """Differentiable unit-bin code length under the logistic hyper prior, in bits."""
         loc, scale = self.prior_params(which)
-        return _bin_bits(sigmoid((values + 0.5 - loc) / scale), sigmoid((values - 0.5 - loc) / scale))
+        return _bin_bits(values, loc, scale, sigmoid)
 
     # -- persistence -----------------------------------------------------
 
@@ -259,9 +252,19 @@ class CodecModel:
         return model
 
 
-def _bin_bits(cdf_hi: Tensor, cdf_lo: Tensor) -> Tensor:
-    """Summed -log2 of the bin masses cdf_hi - cdf_lo, floored at MIN_PROB as `estimate_bits` floors them."""
-    return sum_all(log(clamp(cdf_hi - cdf_lo, lo=MIN_PROB))) * Tensor(-1.0 / np.log(2.0))
+def _bin_bits(values: Tensor, loc: Tensor, scale: Tensor, cdf) -> Tensor:
+    """Summed -log2 of the unit-bin masses of `values` under the CDF
+    `cdf((x - loc) / scale)`, floored at MIN_PROB as `estimate_bits` floors them.
+
+    The bin mass is symmetric about `loc`, so it is taken at
+    -|values - loc|: in the lower tail both CDF terms are small and their
+    difference keeps its digits, where in the upper tail both would be
+    near 1 and cancel.
+    """
+    d = values - loc
+    u = d * Tensor(np.where(d.data > 0.0, -1.0, 1.0))
+    mass = cdf((u + 0.5) / scale) - cdf((u - 0.5) / scale)
+    return sum_all(log(clamp(mass, lo=MIN_PROB))) * Tensor(-1.0 / np.log(2.0))
 
 
 def _to_scale(raw: Tensor) -> Tensor:

@@ -9,7 +9,7 @@ import pytest
 
 import bnvc.codec as codec
 import bnvc.training as training
-from bnvc.entropy import GaussianModel, estimate_bits
+from bnvc.entropy import GaussianModel, LogisticModel, estimate_bits
 from bnvc.errors import UsageError
 from bnvc.model import CodecModel, ModelConfig
 from bnvc.policies import DuplicationPolicy
@@ -49,6 +49,22 @@ class TestRateTerms:
             assert abs(bits[v] - want) <= 1e-9 * want
         assert bits[7.5] == bits[-6.5]
         assert bits[8.5] == bits[-7.5]
+
+    def test_logistic_rate_symmetric_in_the_far_tails(self):
+        # 36 and 40 scales out the logistic bin masses (2.4e-16 and 4.4e-18)
+        # are above the 2^-60 floor, but an upper-tail difference of two
+        # sigmoids within a few ulps of 1 keeps none of their digits.
+        model = _toy_model()
+        model.store["mv_prior.loc"].data[...] = 0.5
+        loc, scale = model.prior_params("mv")
+        bits = {}
+        for k in (36, -36, 40, -40):
+            v = np.full(loc.shape, 0.5 + k)
+            bits[k] = float(model.factorized_rate_bits(Tensor(v), "mv").data)
+            want = estimate_bits(v.ravel(), LogisticModel(loc.data.ravel(), scale.data.ravel()))
+            assert abs(bits[k] - want) <= 1e-9 * want
+        assert bits[36] == bits[-36]
+        assert bits[40] == bits[-40]
 
 
 class TestAdam:
