@@ -103,9 +103,9 @@ def total_loss(params: LossModelParams) -> tuple[list[float], float]:
     """Per-frame losses L_1..L_T under `params`, plus their sum.
 
     Frame t's reference multiset is the padded list of the most recent
-    decoded P-frames, built with the same rule the codec uses for its
-    decoded buffer (pad_references), so the analytic model and the codec
-    can never drift apart on which frame gets duplicated.
+    decoded P-frames, built by `pad_references`, the rule the codec uses
+    to pad its warped reference features, so the analytic model and the
+    codec can never drift apart on which frame gets duplicated.
     """
     losses: list[float] = []
     for t in range(1, params.T + 1):

@@ -52,10 +52,6 @@ class ModelConfig:
     ctx_latent: int = 24
     ctx_hyper: int = 12
 
-    @property
-    def feat_channels(self) -> int:
-        return self.ctx_channels[0]
-
     @classmethod
     def toy(cls, n_ref: int = 4, fusion: FusionMode = FusionMode.BUTTERFLY) -> "ModelConfig":
         """Small widths for training experiments and fast tests."""

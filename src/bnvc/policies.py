@@ -2,9 +2,9 @@
 
 When fewer decoded frames exist than the model's reference count, the
 list is padded by repeating either the newest decoded frame (NEAR) or
-the oldest one (FURTHER). The same padding rule is used by the codec's
-decoded-buffer logic and by the analytic error-accumulation model, so
-the two stay consistent by construction.
+the oldest one (FURTHER). The codec pads its warped reference features
+with this rule, and the analytic error-accumulation model pads frame
+indices with it, so the two stay consistent by construction.
 """
 
 from __future__ import annotations

@@ -1,13 +1,9 @@
-"""The gradient suite at its default tolerances: every tensor op, the
-composed butterfly fusion, and the full training loss, which runs the
-codec's own inter step, all against central finite differences."""
+"""The gradient suite at its default tolerances: the composed butterfly
+fusion and the full training loss, which runs the codec's own inter
+step, both against central finite differences. The per-op checks run
+over 20 seeds in test_tensor.py."""
 
-from bnvc.gradsuite import butterfly_check, op_checks, pipeline_check
-
-
-def test_every_op_matches_finite_differences():
-    failed = [r.line() for r in op_checks() if not r.passed]
-    assert not failed, failed
+from bnvc.gradsuite import butterfly_check, pipeline_check
 
 
 def test_butterfly_fusion_matches_finite_differences():
