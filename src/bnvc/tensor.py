@@ -16,9 +16,10 @@ Design constraints, in order of priority:
   channel concat, and full reductions.
 
 Everything is float64, channels-first (C, H, W), row-major. Values are
-immutable after creation except gradient slots during backward. Graphs
-must not be shared across concurrent executions; independent graphs may
-run in parallel.
+immutable after creation. backward() consumes the graph it runs over:
+interior nodes drop their gradients, rules and parents as it goes, and
+only leaves keep .grad. Graphs must not be shared across concurrent
+executions; independent graphs may run in parallel.
 """
 
 from __future__ import annotations
@@ -76,8 +77,10 @@ class Tensor:
 
     A tensor produced by an op remembers its parents and a backward
     rule; calling backward() on a scalar result accumulates gradients
-    into every reachable tensor with requires_grad set, summing over
-    fan-out in a fixed reverse-topological order.
+    into every reachable leaf (requires_grad set, no rule), summing over
+    fan-out in a fixed reverse-topological order. The call consumes the
+    graph: only leaves keep .grad, and a second backward() through any
+    of its interior nodes raises UsageError.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "name")
@@ -145,12 +148,23 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     return out
 
 
+def _consumed(_grad):
+    raise UsageError("backward() through a graph that an earlier backward() consumed")
+
+
 def backward(output: Tensor, seed=None) -> None:
-    """Reverse-mode accumulation from `output` into every reachable input.
+    """Reverse-mode accumulation from `output` into every reachable leaf.
 
     Gradients sum over fan-out; traversal order is a deterministic
     post-order over the recorded parents, so accumulation order never
     varies between runs.
+
+    The pass consumes the graph: once a node's rule has run, the node
+    drops its gradient, its rule (with the arrays the rule saved) and its
+    parents, so memory is freed as the pass goes. Only leaves (tensors
+    with requires_grad and no rule) keep their accumulated .grad. A
+    consumed node's rule raises UsageError, so a second backward through
+    any part of the graph fails instead of propagating stale gradients.
     """
     if not output.requires_grad:
         raise UsageError("backward() on a tensor with no recorded computation")
@@ -178,11 +192,15 @@ def backward(output: Tensor, seed=None) -> None:
                 stack.append((parent, False))
 
     output.grad = seed if output.grad is None else output.grad + seed
-    for node in reversed(topo):
-        if node._backward_fn is None or node.grad is None:
+    while topo:
+        node = topo.pop()
+        if node._backward_fn is None:
             continue
-        grads = node._backward_fn(node.grad)
-        for parent, grad in zip(node._parents, grads):
+        rule, parents, g = node._backward_fn, node._parents, node.grad
+        node._backward_fn, node._parents, node.grad = _consumed, (), None
+        if g is None:
+            continue
+        for parent, grad in zip(parents, rule(g)):
             if grad is None or not parent.requires_grad:
                 continue
             parent.grad = grad if parent.grad is None else parent.grad + grad

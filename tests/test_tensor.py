@@ -293,6 +293,44 @@ class TestBackward:
         y.backward()
         np.testing.assert_array_equal(b.grad, np.full((3, 1, 1), 4.0))
 
+    def test_backward_consumes_interior_nodes(self):
+        rng = np.random.default_rng(9)
+        x = _t(rng.normal(size=(2, 6, 6)), grad=True)
+        w = _t(rng.normal(size=(3, 2, 3, 3)), grad=True)
+        b = _t(rng.normal(size=3), grad=True)
+        flow = _t(rng.normal(size=(2, 6, 6)) * 0.5, grad=True)
+        h1 = conv2d(x, w, b, pad=1)
+        h2 = leaky_relu(h1)
+        h3 = warp_bilinear(h2, flow)
+        y = sum_all(h3)
+        y.backward()
+        for leaf in (x, w, b, flow):
+            assert leaf.grad is not None and leaf.grad.shape == leaf.data.shape
+        for node in (h1, h2, h3, y):
+            assert node.grad is None and node._parents == ()
+            with pytest.raises(UsageError):
+                node._backward_fn(np.ones_like(node.data))
+
+    def test_second_backward_raises(self):
+        # without the release the interior gradients are propagated again
+        # and x.grad reads [8, 16], not two accumulations' [4, 8]
+        x = _t(np.array([1.0, 2.0]), grad=True)
+        y = sum_all(x * x)
+        y.backward()
+        with pytest.raises(UsageError):
+            y.backward()
+
+    def test_backward_through_shared_consumed_node_raises(self):
+        # without the release the second loss re-propagates a's first
+        # gradient and x.grad reads [10, 20], not the true sum [8, 16]
+        x = _t(np.array([1.0, 2.0]), grad=True)
+        a = x * x
+        first, second = sum_all(a), sum_all(a * 3.0)
+        first.backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        with pytest.raises(UsageError):
+            second.backward()
+
 
 class TestDeterminism:
     def test_forward_bit_identical(self):

@@ -4,6 +4,8 @@ Heavier direction checks (thousands of steps) live in the acceptance
 suite; these stay short.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,30 @@ class TestRolloutParity:
         for ref in refs:
             assert ref.min() >= 0.0 and ref.max() <= 1.0
             np.testing.assert_array_equal(np.rint(ref * 255.0) / 255.0, ref)
+
+
+class TestTrainingMemory:
+    def test_peak_stays_near_one_step_graph(self, dataset):
+        """backward frees each step's graph, so the next forward pass does
+        not hold two graphs at once (2.8x one graph when it did)."""
+        config = TrainingConfig(steps=3, seed=0, rollout=4)
+        window = dataset[0][: config.rollout + 1]
+        model = _toy_model()
+        model.store.set_requires_grad(True)
+        rollout_loss(model, window, np.random.default_rng(0), config.lam, config.policy)  # fills the grid caches
+        tracemalloc.start()
+        try:
+            graph = rollout_loss(model, window, np.random.default_rng(0), config.lam, config.policy)
+            one_graph = tracemalloc.get_traced_memory()[1]
+            del graph
+            model.store.set_requires_grad(False)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            train_toy(_toy_model(), dataset, config)
+            train_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert train_peak <= 1.5 * one_graph, (train_peak, one_graph)
 
 
 class TestEvaluation:
