@@ -159,12 +159,13 @@ def backward(output: Tensor, seed=None) -> None:
     post-order over the recorded parents, so accumulation order never
     varies between runs.
 
-    The pass consumes the graph: once a node's rule has run, the node
-    drops its gradient, its rule (with the arrays the rule saved) and its
-    parents, so memory is freed as the pass goes. Only leaves (tensors
-    with requires_grad and no rule) keep their accumulated .grad. A
-    consumed node's rule raises UsageError, so a second backward through
-    any part of the graph fails instead of propagating stale gradients.
+    The pass consumes the graph: as it reaches each interior node, the
+    node drops its gradient, its rule (with the arrays the rule saved)
+    and its parents, so memory is freed as the pass goes. Only leaves
+    (tensors with requires_grad and no rule) keep their accumulated
+    .grad. A consumed node's rule raises UsageError, so a second
+    backward through any part of the graph fails instead of propagating
+    stale gradients.
     """
     if not output.requires_grad:
         raise UsageError("backward() on a tensor with no recorded computation")

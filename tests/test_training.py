@@ -166,7 +166,6 @@ class TestTrainingMemory:
             graph = rollout_loss(model, window, np.random.default_rng(0), config.lam, config.policy)
             one_graph = tracemalloc.get_traced_memory()[1]
             del graph
-            model.store.set_requires_grad(False)
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             train_toy(_toy_model(), dataset, config)
