@@ -5,9 +5,12 @@ Design constraints, in order of priority:
 * Determinism. Repeated forward passes over identical inputs are
   bit-identical: every op reduces with a fixed summation order and no
   value-dependent branching, so an encoder and decoder evaluating the
-  same network on the same machine agree exactly. Stride-1 convolution
-  with C_out <= C_in sums its k*k shifted-slice GEMM taps in a fixed
-  order; every other convolution multiplies by an im2col matrix.
+  same network on the same machine agree exactly. Convolution takes
+  one of three forms, chosen by stride and channel counts alone:
+  stride 1 with C_in <= C_out runs one GEMM per kernel row over the
+  input stacked at its k horizontal shifts; stride 1 with C_in > C_out
+  sums k*k shifted-slice GEMM taps in a fixed order; larger strides
+  multiply by an im2col matrix.
 * Correctness. Every differentiable op carries an analytic gradient
   that is validated against central finite differences (grad_check).
 * Just enough surface. Only the operations the codec networks need
@@ -388,30 +391,61 @@ def _tap_offsets(k: int, wp: int) -> list[int]:
     return [dy * wp + dx for dy in range(k) for dx in range(k)]
 
 
+def _row_shifts(xf: np.ndarray, k: int) -> np.ndarray:
+    """The flat padded input xf (C, L) at its k horizontal shifts,
+    (k * C, L - k + 1), dx-major: row dx * C + c is xf[c, dx : dx + L - k + 1]."""
+    if k == 1:
+        return xf
+    c, length = xf.shape
+    m = length - k + 1
+    x3 = np.empty((k, c, m))
+    for dx in range(k):
+        x3[dx] = xf[:, dx : dx + m]
+    return x3.reshape(k * c, m)
+
+
 def _correlate(x: np.ndarray, wd: np.ndarray, stride: int, pad: int) -> np.ndarray:
     """Bias-free cross-correlation of x (C_in, H, W) with wd (C_out, C_in, k, k).
 
-    Stride 1 with C_out <= C_in takes the shift form: one GEMM of the
-    tap-stacked kernel over the flattened padded input, then the k*k
-    taps summed in a fixed order, each a contiguous slice offset by
-    dy*Wp + dx; the Wp - W_out wrap-around columns are cropped. Its
-    temporary has k*k*C_out rows where im2col's has k*k*C_in, so the
-    form with the smaller temporary is taken.
+    Three forms, chosen by stride and channel counts; each works on the
+    flattened padded input at stride 1 and crops the Wp - W_out
+    wrap-around columns of every output row:
+
+    * kernel-row (stride 1, C_in <= C_out): the input stacked at its k
+      horizontal shifts (_row_shifts), then one GEMM per kernel row dy
+      with the (C_out, k*C_in) dx-major slice of the kernel, over the
+      stack offset by dy*Wp; the rows are summed in dy order, and the
+      dx and C_in sums happen inside each GEMM. Its temporary is k times
+      the input.
+    * shift (stride 1, C_in > C_out): one GEMM of the tap-stacked kernel
+      over the input, then the k*k taps summed in a fixed order, each a
+      contiguous slice offset by dy*Wp + dx. Its temporary has k*k*C_out
+      rows. For these wider inputs the kernel-row form measured slower
+      (40 -> 16 and 56 -> 16 channels at 128x128), and faster for every
+      C_in <= C_out shape tried (8 to 32 channels, 16x16 to 128x128).
+    * im2col (stride > 1): one GEMM over the strided window matrix.
     """
     c_out, c_in, k, _ = wd.shape
     _, h, w = x.shape
     out_h = _conv_out_extent(h, k, stride, pad)
     out_w = _conv_out_extent(w, k, stride, pad)
-    if stride != 1 or c_out > c_in:
+    if stride != 1:
         cols = _im2col(_zero_pad(x, pad), k, stride, out_h, out_w)
         return (wd.reshape(c_out, -1) @ cols).reshape(c_out, out_h, out_w)
     xf, wp = _flat_padded(x, pad)
     n = out_h * wp
-    taps = (wd.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in) @ xf).reshape(k * k, c_out, -1)
-    offsets = _tap_offsets(k, wp)
-    acc = taps[0, :, :n].copy()
-    for t in range(1, k * k):
-        acc += taps[t, :, offsets[t] : offsets[t] + n]
+    if c_in <= c_out:
+        x3 = _row_shifts(xf, k)
+        w_rows = wd.transpose(2, 0, 3, 1).reshape(k, c_out, k * c_in)
+        acc = w_rows[0] @ x3[:, :n]
+        for dy in range(1, k):
+            acc += w_rows[dy] @ x3[:, dy * wp : dy * wp + n]
+    else:
+        taps = (wd.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in) @ xf).reshape(k * k, c_out, -1)
+        offsets = _tap_offsets(k, wp)
+        acc = taps[0, :, :n].copy()
+        for t in range(1, k * k):
+            acc += taps[t, :, offsets[t] : offsets[t] + n]
     return acc.reshape(c_out, out_h, wp)[:, :, :out_w]
 
 
@@ -451,11 +485,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
 
 
 def _conv_weight_grad(g: np.ndarray, xd: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """Weight gradient of conv2d, (C_out, C_in, k, k).
+    """Weight gradient of conv2d, (C_out, C_in, k, k), C-contiguous.
 
-    Stride 1 takes one GEMM per tap against the flattened padded input,
-    with the output gradient widened to Wp and its wrap-around columns
-    zeroed; larger strides correlate with the im2col matrix.
+    Stride 1 takes one GEMM per kernel row dy: the output gradient,
+    widened to Wp with its wrap-around columns zeroed, against the
+    kernel-row form's shifted input stack offset by dy*Wp, so one GEMM
+    gives the k taps (dy, 0..k-1). Larger strides correlate with the
+    im2col matrix.
     """
     c_out, out_h, out_w = g.shape
     c_in = xd.shape[0]
@@ -463,14 +499,18 @@ def _conv_weight_grad(g: np.ndarray, xd: np.ndarray, k: int, stride: int, pad: i
         cols = _im2col(_zero_pad(xd, pad), k, stride, out_h, out_w)
         return (g.reshape(c_out, -1) @ cols.T).reshape(c_out, c_in, k, k)
     xf, wp = _flat_padded(xd, pad)
+    x3 = _row_shifts(xf, k)
     n = out_h * wp
     g_pad = np.zeros((c_out, out_h, wp))
     g_pad[:, :, :out_w] = g
     g_pad = g_pad.reshape(c_out, n)
-    g_w = np.empty((c_out, c_in, k * k))
-    for t, off in enumerate(_tap_offsets(k, wp)):
-        g_w[:, :, t] = g_pad @ xf[:, off : off + n].T
-    return g_w.reshape(c_out, c_in, k, k)
+    g_rows = np.empty((k, c_out, k * c_in))
+    for dy in range(k):
+        g_rows[dy] = g_pad @ x3[:, dy * wp : dy * wp + n].T
+    # (dy, C_out, dx, C_in) -> (C_out, C_in, dy, dx), copied: the optimizer's
+    # global-norm sum reads gradients in memory order, and a transposed
+    # view would change its summation order
+    return np.ascontiguousarray(g_rows.reshape(k, c_out, k, c_in).transpose(1, 3, 0, 2))
 
 
 def _conv_input_grad(g: np.ndarray, wd: np.ndarray, stride: int, pad: int, h: int, w: int) -> np.ndarray:
@@ -577,10 +617,14 @@ def warp_bilinear(x: Tensor, flow: Tensor) -> Tensor:
     fx = sxc - x0
     fy = syc - y0
 
-    v00 = xd[:, y0, x0]
-    v01 = xd[:, y0, x1]
-    v10 = xd[:, y1, x0]
-    v11 = xd[:, y1, x1]
+    # corner gathers through the flat view come out C-contiguous, where
+    # xd[:, y, x] is channel-last
+    xf = xd.reshape(c, -1)
+    i00, i01, i10, i11 = y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1
+    v00 = xf.take(i00, axis=1)
+    v01 = xf.take(i01, axis=1)
+    v10 = xf.take(i10, axis=1)
+    v11 = xf.take(i11, axis=1)
     w00 = (1.0 - fy) * (1.0 - fx)
     w01 = (1.0 - fy) * fx
     w10 = fy * (1.0 - fx)
@@ -594,9 +638,8 @@ def warp_bilinear(x: Tensor, flow: Tensor) -> Tensor:
         gx_img = np.zeros_like(xd).reshape(c, -1)
         gflat = g.reshape(c, -1)
         ch_idx = np.arange(c)[:, None]
-        for weight, yy, xx in ((w00, y0, x0), (w01, y0, x1), (w10, y1, x0), (w11, y1, x1)):
-            flat = (yy * w + xx).ravel()[None, :]
-            np.add.at(gx_img, (ch_idx, flat), gflat * weight.ravel()[None, :])
+        for weight, idx in ((w00, i00), (w01, i01), (w10, i10), (w11, i11)):
+            np.add.at(gx_img, (ch_idx, idx.ravel()[None, :]), gflat * weight.ravel()[None, :])
         d_dx = ((v01 - v00) * (1.0 - fy) + (v11 - v10) * fy) * g
         d_dy = ((v10 - v00) * (1.0 - fx) + (v11 - v01) * fx) * g
         gflow = np.stack(

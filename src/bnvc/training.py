@@ -120,12 +120,6 @@ class TrainingLog:
         vals = [e["loss"] for e in self.entries[start:stop]]
         return float(np.mean(vals))
 
-    def to_csv(self) -> str:
-        lines = ["step,loss,bpp,mse"]
-        for e in self.entries:
-            lines.append(f"{e['step']},{e['loss']:.10g},{e['bpp']:.10g},{e['mse']:.10g}")
-        return "\n".join(lines) + "\n"
-
 
 def rollout_loss(
     model: CodecModel,

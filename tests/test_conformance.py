@@ -3,7 +3,8 @@ must be byte-identical to the same encode under another, and decode to
 the same pictures.
 
 The child process forces the Sandybridge kernels on one thread; this
-process keeps the library's default core. Both sides read back
+process keeps the library's default core. Each case in CASES is
+encoded on both sides. Both sides read back
 their core with the benchmark's own probe: if the library ignores the
 request, or this host already runs that core, the test skips instead of
 passing vacuously.
@@ -27,19 +28,25 @@ CORE = "Sandybridge"
 
 PROBE = "import json; from codecbench.run import _blas_info; print(json.dumps(_blas_info()))"
 
+# mosaic_sequence(size, tile, n_frames, seed=0) inputs; the 128x128 case is
+# the long128 frame size, where a float32 coding path drifted across cores
+CASES = [(64, 32, 3), (128, 16, 5)]
+
 CHILD = """
 import json, sys
+from pathlib import Path
 import numpy as np
 from bnvc.codec import encode_sequence
 from bnvc.model import CodecModel
 from codecbench.run import _blas_info
 from codecbench.workloads import mosaic_sequence
 
-frames = mosaic_sequence(64, 32, 3, seed=0)
-stream, _, _ = encode_sequence(frames, CodecModel(seed=0))
-np.save(sys.argv[1], frames)
-with open(sys.argv[2], "wb") as f:
-    f.write(stream)
+out = Path(sys.argv[1])
+for size, tile, n_frames in json.loads(sys.argv[2]):
+    frames = mosaic_sequence(size, tile, n_frames, seed=0)
+    stream, _, _ = encode_sequence(frames, CodecModel(seed=0))
+    np.save(out / f"frames{size}.npy", frames)
+    (out / f"stream{size}.bin").write_bytes(stream)
 print(json.dumps(_blas_info()))
 """
 
@@ -55,18 +62,18 @@ def _run_child(args, **overrides) -> dict:
 
 
 def test_stream_identical_across_blas_cores(tmp_path):
-    frames_path, stream_path = tmp_path / "frames.npy", tmp_path / "stream.bin"
     default = _run_child([PROBE])  # same environment as this process
-    forced = _run_child([CHILD, str(frames_path), str(stream_path)], OPENBLAS_CORETYPE=CORE, OPENBLAS_NUM_THREADS="1")
+    forced = _run_child([CHILD, str(tmp_path), json.dumps(CASES)], OPENBLAS_CORETYPE=CORE, OPENBLAS_NUM_THREADS="1")
     if forced.get("coretype", "").lower() != CORE.lower():
         pytest.skip(f"OpenBLAS did not switch to {CORE}: child reports {forced}")
     if default.get("coretype", "").lower() == CORE.lower():
         pytest.skip(f"this process already runs the {CORE} core: {default}")
 
-    frames = np.load(frames_path)
-    child_stream = stream_path.read_bytes()
     model = CodecModel(seed=0)
-    stream, _, recons = encode_sequence(frames, model)
-    assert hashlib.sha256(child_stream).hexdigest() == hashlib.sha256(stream).hexdigest()
-    decoded, _ = decode_sequence(child_stream, model)
-    np.testing.assert_array_equal(decoded, recons)
+    for size, _, _ in CASES:
+        frames = np.load(tmp_path / f"frames{size}.npy")
+        child_stream = (tmp_path / f"stream{size}.bin").read_bytes()
+        stream, _, recons = encode_sequence(frames, model)
+        assert hashlib.sha256(child_stream).hexdigest() == hashlib.sha256(stream).hexdigest(), size
+        decoded, _ = decode_sequence(child_stream, model)
+        np.testing.assert_array_equal(decoded, recons, err_msg=f"{size}x{size}")

@@ -58,6 +58,22 @@ def _conv2d_loops(x, w, b, stride, pad):
     return out
 
 
+def _conv_weight_grad_per_tap(g, x, k, pad):
+    """Stride-1 weight gradient as one GEMM per kernel tap over the flat
+    padded input: each element is the dot product of the output gradient
+    with the input shifted by that tap."""
+    c_out, out_h, out_w = g.shape
+    xf, wp = tensor_mod._flat_padded(x, pad)
+    n = out_h * wp
+    g_pad = np.zeros((c_out, out_h, wp))
+    g_pad[:, :, :out_w] = g
+    g_pad = g_pad.reshape(c_out, n)
+    g_w = np.empty((c_out, x.shape[0], k * k))
+    for t, off in enumerate(tensor_mod._tap_offsets(k, wp)):
+        g_w[:, :, t] = g_pad @ xf[:, off : off + n].T
+    return g_w.reshape(c_out, x.shape[0], k, k)
+
+
 def _resize_loops(x, out_h, out_w):
     c, h, w = x.shape
     out = np.zeros((c, out_h, out_w))
@@ -121,15 +137,16 @@ class TestConv2d:
             want = _conv2d_loops(x, w, b, stride, pad)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{c_in}->{c_out} k={k}")
 
-    def test_shift_form_makes_no_im2col_copy(self, monkeypatch):
+    def test_stride1_forms_make_no_im2col_copy(self, monkeypatch):
         calls = []
         real = tensor_mod._im2col
         monkeypatch.setattr(tensor_mod, "_im2col", lambda *a: calls.append(a) or real(*a))
         rng = np.random.default_rng(11)
 
-        def run(c_in, c_out, stride=1, x_grad=True):
-            """_im2col calls made by (forward, backward) of one conv."""
-            x = _t(rng.normal(size=(c_in, 8, 8)), grad=x_grad)
+        def run(c_in, c_out, stride=1):
+            """_im2col calls made by (forward, backward) of one conv; backward
+            takes both the input and the weight gradient."""
+            x = _t(rng.normal(size=(c_in, 8, 8)), grad=True)
             w = _t(rng.normal(size=(c_out, c_in, 3, 3)), grad=True)
             y = conv2d(x, w, _t(np.zeros(c_out), grad=True), stride=stride, pad=1)
             n_fwd = len(calls)
@@ -138,12 +155,23 @@ class TestConv2d:
             calls.clear()
             return n_fwd, n_all - n_fwd
 
-        assert run(4, 2)[0] == 0  # C_out < C_in forward
-        assert run(4, 4) == (0, 0)  # width-preserving, as in a ResBlock: forward and both gradients
+        # shift form (C_in > C_out) and kernel-row form (C_in <= C_out), in
+        # the forward pass and in both gradients
         for c_in, c_out in [(4, 2), (4, 4), (2, 4), (3, 16)]:
-            assert run(c_in, c_out, x_grad=False)[1] == 0, (c_in, c_out)  # weight gradient alone
-        assert run(2, 4)[1] == 0  # the input gradient's own C_out (2) <= C_in (4)
-        assert run(4, 2, stride=2)[0] == 1
+            assert run(c_in, c_out) == (0, 0), (c_in, c_out)
+        assert run(4, 2, stride=2)[0] == 1  # the spy sees the im2col form
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("c_in,c_out", [(3, 8), (5, 5), (16, 4)])
+    def test_weight_grad_matches_per_tap_gemms(self, c_in, c_out, k):
+        rng = np.random.default_rng(100 * c_in + 10 * c_out + k)
+        x = rng.normal(size=(c_in, 13, 11))
+        g = rng.normal(size=(c_out, 13, 11))
+        got = tensor_mod._conv_weight_grad(g, x, k, 1, k // 2)
+        assert got.flags.c_contiguous
+        # same dot products, but the BLAS kernel it picks depends on the GEMM's
+        # shape, so the summation order inside each one may differ
+        np.testing.assert_allclose(got, _conv_weight_grad_per_tap(g, x, k, k // 2), rtol=0, atol=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
@@ -233,6 +261,27 @@ class TestWarpBilinear:
         got = warp_bilinear(_t(x), _t(flow)).data[0, 0]
         np.testing.assert_allclose(got[:3], [0.5, 1.5, 2.5], rtol=0, atol=1e-12)
         assert got[3] == 3.0  # clamped
+
+    def test_output_contiguous_and_equal_to_indexed_gather(self):
+        rng = np.random.default_rng(8)
+        c, h, w = 4, 9, 7
+        x = rng.normal(size=(c, h, w))
+        flow = rng.normal(scale=3.0, size=(2, h, w))
+        out = warp_bilinear(_t(x), _t(flow)).data
+        gy, gx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+        sx = np.clip(gx + flow[0], 0.0, w - 1.0)
+        sy = np.clip(gy + flow[1], 0.0, h - 1.0)
+        x0, y0 = sx.astype(np.int64), sy.astype(np.int64)
+        x1, y1 = np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1)
+        fx, fy = sx - x0, sy - y0
+        want = (
+            x[:, y0, x0] * ((1.0 - fy) * (1.0 - fx))
+            + x[:, y0, x1] * ((1.0 - fy) * fx)
+            + x[:, y1, x0] * (fy * (1.0 - fx))
+            + x[:, y1, x1] * (fy * fx)
+        )
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, want)
 
     def test_flow_shape_validated(self):
         with pytest.raises(ShapeError):
