@@ -4,10 +4,9 @@ the same pictures.
 
 The child process forces the Sandybridge kernels on one thread; this
 process keeps the library's default core. Each case in CASES is
-encoded on both sides. Both sides read back
-their core with the benchmark's own probe: if the library ignores the
-request, or this host already runs that core, the test skips instead of
-passing vacuously.
+encoded on both sides. Both sides read back their core with the
+benchmark's own probe: if the library ignores the request, or this host
+already runs that core, the test skips instead of passing vacuously.
 """
 
 import hashlib
