@@ -58,6 +58,9 @@ __all__ = [
     "EncodeStats",
 ]
 
+# width, height and intra_period are u16 header fields (see bitstream)
+_U16_MAX = 0xFFFF
+
 
 @dataclass
 class Frame:
@@ -291,11 +294,15 @@ def encode_sequence(
     if frames.ndim != 4 or frames.shape[1] != 3 or frames.dtype != np.uint8:
         raise UsageError(f"sequence must be uint8 (N, 3, H, W), got {frames.dtype} {frames.shape}")
     n, _, h, w = frames.shape
+    if n < 1:
+        raise UsageError("sequence must hold at least one frame")
+    if h > _U16_MAX or w > _U16_MAX:
+        raise UsageError(f"frame size must be at most {_U16_MAX} per side, got {h}x{w}")
     model.latent_hw(h, w)  # validates divisibility
     if not 0 <= lambda_index <= 3:
         raise UsageError(f"lambda index must be in 0..3, got {lambda_index}")
-    if intra_period < 1:
-        raise UsageError(f"intra period must be >= 1, got {intra_period}")
+    if not 1 <= intra_period <= _U16_MAX:
+        raise UsageError(f"intra period must be in 1..{_U16_MAX}, got {intra_period}")
 
     weights_hash = model.prepare_for_coding()
     header = StreamHeader(

@@ -75,8 +75,9 @@ def op_checks(seed: int = 0, eps: float = 1e-5, tol: float = 1e-4) -> list[Check
     pos = rng.uniform(0.5, 2.0, size=(2, 4, 4))
     a = rng.normal(size=(3, 4))
     bden = rng.normal(size=(3, 4)) + 3.0
-    # drawn last so the cases above keep their inputs: C_out < C_in takes
-    # conv2d's shift form forward, where w's C_out > C_in takes im2col
+    # drawn last so the cases above keep their inputs: at stride 1,
+    # C_out < C_in takes conv2d's shift form forward, where w (C_in 2 <=
+    # C_out 3) takes the kernel-row form
     x3 = rng.normal(size=(3, 6, 6))
     w_narrow = rng.normal(size=(2, 3, 3, 3)) * 0.5
     w_1x1 = rng.normal(size=(2, 3, 1, 1)) * 0.5
@@ -92,10 +93,10 @@ def op_checks(seed: int = 0, eps: float = 1e-5, tol: float = 1e-4) -> list[Check
         ("exp", lambda t: _projected(exp(t), seed), [a * 0.5]),
         ("log", lambda t: _projected(log(t), seed), [pos]),
         ("clamp", lambda t: _projected(clamp(t, -0.5, 0.5), seed), [x_off]),
-        ("conv2d_stride1", lambda tx, tw, tb: _projected(conv2d(tx, tw, tb, 1, 1), seed), [x_img, w, b]),
-        ("conv2d_stride2", lambda tx, tw, tb: _projected(conv2d(tx, tw, tb, 2, 1), seed), [x_img, w, b]),
-        ("conv2d_stride1_narrow", lambda tx, tw, tb: _projected(conv2d(tx, tw, tb, 1, 1), seed), [x3, w_narrow, b_narrow]),
-        ("conv2d_1x1", lambda tx, tw, tb: _projected(conv2d(tx, tw, tb, 1, 0), seed), [x3, w_1x1, b_narrow]),
+        ("conv2d_stride1", lambda tx, tw, tb: _projected(conv2d(tx, tw, tb, 1), seed), [x_img, w, b]),
+        ("conv2d_stride2", lambda tx, tw, tb: _projected(conv2d(tx, tw, tb, 2), seed), [x_img, w, b]),
+        ("conv2d_stride1_narrow", lambda tx, tw, tb: _projected(conv2d(tx, tw, tb, 1), seed), [x3, w_narrow, b_narrow]),
+        ("conv2d_1x1", lambda tx, tw, tb: _projected(conv2d(tx, tw, tb, 1), seed), [x3, w_1x1, b_narrow]),
         ("bilinear_resize_up", lambda t: _projected(bilinear_resize(t, 9, 11), seed), [x_img]),
         ("bilinear_resize_down", lambda t: _projected(bilinear_resize(t, 3, 4), seed), [x_img]),
         ("warp_bilinear", lambda tx, tf: _projected(warp_bilinear(tx, tf), seed), [x_img, flow]),

@@ -24,6 +24,7 @@ from .tensor import (
     bilinear_resize,
     clamp,
     concat_channels,
+    conv_out_extent,
     exp,
     leaky_relu,
     log,
@@ -89,11 +90,6 @@ class ModelConfig:
         )
 
 
-def conv_down_extent(extent: int) -> int:
-    """Spatial extent after one stride-2, k=3, pad=1 convolution."""
-    return (extent - 1) // 2 + 1
-
-
 class CodecModel:
     """All parameters and forward paths of the codec."""
 
@@ -157,7 +153,7 @@ class CodecModel:
 
     def hyper_hw(self, h: int, w: int) -> tuple[int, int]:
         lh, lw = self.latent_hw(h, w)
-        return conv_down_extent(lh), conv_down_extent(lw)
+        return conv_out_extent(lh, 2), conv_out_extent(lw, 2)
 
     # -- feature extraction ----------------------------------------------
 

@@ -118,7 +118,8 @@ class ParamStore:
 
 
 class Conv:
-    """3x3 (by default) convolution layer with He-normal initialization."""
+    """Same-padded 3x3 (by default) convolution layer with He-normal
+    initialization; see tensor.conv2d."""
 
     def __init__(
         self,
@@ -128,7 +129,6 @@ class Conv:
         c_out: int,
         k: int = 3,
         stride: int = 1,
-        pad: int | None = None,
         rng: np.random.Generator | None = None,
         init_scale: float = 1.0,
         bias_fill: float = 0.0,
@@ -136,13 +136,12 @@ class Conv:
         if rng is None:
             raise UsageError("Conv needs an rng for deterministic init")
         self.stride = stride
-        self.pad = k // 2 if pad is None else pad
         std = init_scale * np.sqrt(2.0 / (c_in * k * k))
         self.w = store.add(f"{name}.w", rng.normal(0.0, std, size=(c_out, c_in, k, k)))
         self.b = store.add(f"{name}.b", np.full(c_out, bias_fill))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad)
+        return conv2d(x, self.w, self.b, stride=self.stride)
 
 
 class ResBlock:

@@ -5,8 +5,9 @@ Design constraints, in order of priority:
 * Determinism. Repeated forward passes over identical inputs are
   bit-identical: every op reduces with a fixed summation order and no
   value-dependent branching, so an encoder and decoder evaluating the
-  same network on the same machine agree exactly. Convolution takes
-  one of three forms, chosen by stride and channel counts alone:
+  same network on the same machine agree exactly. Every convolution
+  is same-padded (zero padding k // 2, output ceil(H / stride)) and
+  takes one of three forms, chosen by stride and channel counts alone:
   stride 1 with C_in <= C_out runs one GEMM per kernel row over the
   input stacked at its k horizontal shifts; stride 1 with C_in > C_out
   sums k*k shifted-slice GEMM taps in a fixed order; larger strides
@@ -15,8 +16,8 @@ Design constraints, in order of priority:
   that is validated against central finite differences (grad_check).
 * Just enough surface. Only the operations the codec networks need
   exist: elementwise arithmetic, leaky ReLU, sigmoid, the standard
-  normal CDF, clamp, 2-D convolution, bilinear resize, bilinear warp,
-  channel concat, and full reductions.
+  normal CDF, clamp, same-padded 2-D convolution, bilinear resize,
+  bilinear warp, channel concat, and full reductions.
 
 Everything is float64, channels-first (C, H, W), row-major. Values are
 immutable after creation. backward() consumes the graph it runs over:
@@ -43,6 +44,7 @@ __all__ = [
     "no_grad",
     "backward",
     "conv2d",
+    "conv_out_extent",
     "bilinear_resize",
     "warp_bilinear",
     "leaky_relu",
@@ -132,8 +134,8 @@ class Tensor:
     def __neg__(self):
         return _neg(self)
 
-    def backward(self, seed=None) -> None:
-        backward(self, seed)
+    def backward(self) -> None:
+        backward(self)
 
 
 def _as_tensor(value) -> Tensor:
@@ -155,8 +157,9 @@ def _consumed(_grad):
     raise UsageError("backward() through a graph that an earlier backward() consumed")
 
 
-def backward(output: Tensor, seed=None) -> None:
-    """Reverse-mode accumulation from `output` into every reachable leaf.
+def backward(output: Tensor) -> None:
+    """Reverse-mode accumulation from `output`, seeded with ones, into
+    every reachable leaf.
 
     Gradients sum over fan-out; traversal order is a deterministic
     post-order over the recorded parents, so accumulation order never
@@ -172,12 +175,7 @@ def backward(output: Tensor, seed=None) -> None:
     """
     if not output.requires_grad:
         raise UsageError("backward() on a tensor with no recorded computation")
-    if seed is None:
-        seed = np.ones_like(output.data)
-    else:
-        seed = np.asarray(seed, dtype=np.float64)
-        if seed.shape != output.data.shape:
-            raise ShapeError(f"seed shape {seed.shape} != output shape {output.data.shape}")
+    seed = np.ones_like(output.data)
 
     topo: list[Tensor] = []
     visited: set[int] = set()
@@ -356,23 +354,9 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
 
 # -- convolution ----------------------------------------------------------
 
-def _conv_out_extent(extent: int, k: int, stride: int, pad: int) -> int:
-    return (extent + 2 * pad - k) // stride + 1
-
-
-def _zero_pad(x: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return x
-    c, h, w = x.shape
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    xp[:, pad : pad + h, pad : pad + w] = x
-    return xp
-
-
-def _im2col(xp: np.ndarray, k: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride]
-    return win.transpose(0, 3, 4, 1, 2).reshape(xp.shape[0] * k * k, out_h * out_w)
+def conv_out_extent(extent: int, stride: int) -> int:
+    """Output extent of a same-padded convolution: ceil(extent / stride)."""
+    return (extent - 1) // stride + 1
 
 
 def _flat_padded(x: np.ndarray, pad: int) -> tuple[np.ndarray, int]:
@@ -384,6 +368,14 @@ def _flat_padded(x: np.ndarray, pad: int) -> tuple[np.ndarray, int]:
     xp = np.zeros((c, h + 2 * pad + 1, wp))
     xp[:, pad : pad + h, pad : pad + w] = x
     return xp.reshape(c, -1), wp
+
+
+def _im2col(x: np.ndarray, k: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
+    xf, wp = _flat_padded(x, k // 2)
+    xp = xf.reshape(x.shape[0], -1, wp)[:, :-1]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    win = win[:, ::stride, ::stride]
+    return win.transpose(0, 3, 4, 1, 2).reshape(x.shape[0] * k * k, out_h * out_w)
 
 
 def _tap_offsets(k: int, wp: int) -> list[int]:
@@ -404,8 +396,10 @@ def _row_shifts(xf: np.ndarray, k: int) -> np.ndarray:
     return x3.reshape(k * c, m)
 
 
-def _correlate(x: np.ndarray, wd: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    """Bias-free cross-correlation of x (C_in, H, W) with wd (C_out, C_in, k, k).
+def _correlate(x: np.ndarray, wd: np.ndarray, stride: int) -> np.ndarray:
+    """Bias-free, same-padded cross-correlation of x (C_in, H, W) with
+    wd (C_out, C_in, k, k): zero padding k // 2 on every side, output
+    ceil(H / stride) x ceil(W / stride).
 
     Three forms, chosen by stride and channel counts; each works on the
     flattened padded input at stride 1 and crops the Wp - W_out
@@ -427,12 +421,12 @@ def _correlate(x: np.ndarray, wd: np.ndarray, stride: int, pad: int) -> np.ndarr
     """
     c_out, c_in, k, _ = wd.shape
     _, h, w = x.shape
-    out_h = _conv_out_extent(h, k, stride, pad)
-    out_w = _conv_out_extent(w, k, stride, pad)
+    out_h = conv_out_extent(h, stride)
+    out_w = conv_out_extent(w, stride)
     if stride != 1:
-        cols = _im2col(_zero_pad(x, pad), k, stride, out_h, out_w)
+        cols = _im2col(x, k, stride, out_h, out_w)
         return (wd.reshape(c_out, -1) @ cols).reshape(c_out, out_h, out_w)
-    xf, wp = _flat_padded(x, pad)
+    xf, wp = _flat_padded(x, k // 2)
     n = out_h * wp
     if c_in <= c_out:
         x3 = _row_shifts(xf, k)
@@ -449,11 +443,12 @@ def _correlate(x: np.ndarray, wd: np.ndarray, stride: int, pad: int) -> np.ndarr
     return acc.reshape(c_out, out_h, wp)[:, :, :out_w]
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution (cross-correlation) with zero padding.
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
+    """Same-padded 2-D convolution (cross-correlation).
 
     x: (C, H, W); weight: (C_out, C, k, k) with odd k; bias: (C_out,).
-    Output spatial extent is floor((H + 2*pad - k) / stride) + 1.
+    Every convolution zero-pads by k // 2, so the output is
+    ceil(H / stride) x ceil(W / stride) (conv_out_extent).
     """
     xd, wd, bd = x.data, weight.data, bias.data
     if xd.ndim != 3:
@@ -467,24 +462,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
         raise ShapeError(f"conv2d weight expects {c_in} input channels, input has {xd.shape[0]}")
     if bd.shape != (c_out,):
         raise ShapeError(f"conv2d bias must be ({c_out},), got {bd.shape}")
-    if stride < 1 or pad < 0:
-        raise UsageError(f"conv2d needs stride >= 1 and pad >= 0, got {stride}, {pad}")
+    if stride < 1:
+        raise UsageError(f"conv2d needs stride >= 1, got {stride}")
     _, h, w = xd.shape
-    if h + 2 * pad < k or w + 2 * pad < k:
-        raise ShapeError(f"conv2d input {h}x{w} with pad {pad} is smaller than kernel {k}")
 
-    out = _correlate(xd, wd, stride, pad) + bd[:, None, None]
+    out = _correlate(xd, wd, stride) + bd[:, None, None]
 
     def back(g):
         # a parent without requires_grad would drop its gradient unread
-        g_x = _conv_input_grad(g, wd, stride, pad, h, w) if x.requires_grad else None
-        g_w = _conv_weight_grad(g, xd, k, stride, pad) if weight.requires_grad else None
+        g_x = _conv_input_grad(g, wd, stride, h, w) if x.requires_grad else None
+        g_w = _conv_weight_grad(g, xd, k, stride) if weight.requires_grad else None
         return g_x, g_w, g.reshape(c_out, -1).sum(axis=1)
 
     return _node(out, (x, weight, bias), back)
 
 
-def _conv_weight_grad(g: np.ndarray, xd: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
+def _conv_weight_grad(g: np.ndarray, xd: np.ndarray, k: int, stride: int) -> np.ndarray:
     """Weight gradient of conv2d, (C_out, C_in, k, k), C-contiguous.
 
     Stride 1 takes one GEMM per kernel row dy: the output gradient,
@@ -496,9 +489,9 @@ def _conv_weight_grad(g: np.ndarray, xd: np.ndarray, k: int, stride: int, pad: i
     c_out, out_h, out_w = g.shape
     c_in = xd.shape[0]
     if stride != 1:
-        cols = _im2col(_zero_pad(xd, pad), k, stride, out_h, out_w)
+        cols = _im2col(xd, k, stride, out_h, out_w)
         return (g.reshape(c_out, -1) @ cols.T).reshape(c_out, c_in, k, k)
-    xf, wp = _flat_padded(xd, pad)
+    xf, wp = _flat_padded(xd, k // 2)
     x3 = _row_shifts(xf, k)
     n = out_h * wp
     g_pad = np.zeros((c_out, out_h, wp))
@@ -513,27 +506,19 @@ def _conv_weight_grad(g: np.ndarray, xd: np.ndarray, k: int, stride: int, pad: i
     return np.ascontiguousarray(g_rows.reshape(k, c_out, k, c_in).transpose(1, 3, 0, 2))
 
 
-def _conv_input_grad(g: np.ndarray, wd: np.ndarray, stride: int, pad: int, h: int, w: int) -> np.ndarray:
-    """Input gradient of conv2d: the (dilated) output gradient correlated
-    with the flipped, transposed kernel at stride 1 and pad k - 1, so it
-    takes whichever correlation form its own channel counts select."""
-    c_out, c_in, k, _ = wd.shape
-    out_h, out_w = g.shape[1], g.shape[2]
+def _conv_input_grad(g: np.ndarray, wd: np.ndarray, stride: int, h: int, w: int) -> np.ndarray:
+    """Input gradient of conv2d, (C_in, h, w): the output gradient,
+    zero-dilated onto the input's h x w grid when strided, correlated
+    with the flipped, transposed kernel at stride 1. Same padding puts
+    that correlation exactly on the input's grid, and it takes whichever
+    correlation form its own channel counts select."""
     if stride > 1:
-        gd = np.zeros((c_out, (out_h - 1) * stride + 1, (out_w - 1) * stride + 1))
+        gd = np.zeros((g.shape[0], h, w))
         gd[:, ::stride, ::stride] = g
     else:
         gd = g
     wflip = np.ascontiguousarray(wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    core = _correlate(gd, wflip, 1, k - 1)
-    oh, ow = core.shape[1], core.shape[2]  # = (out_h - 1) * stride + k, never exceeds h + 2*pad
-    hp, wp = h + 2 * pad, w + 2 * pad
-    if (oh, ow) != (hp, wp):
-        gxp = np.zeros((c_in, hp, wp))
-        gxp[:, :oh, :ow] = core
-    else:
-        gxp = core
-    return gxp[:, pad : pad + h, pad : pad + w] if pad else gxp
+    return _correlate(gd, wflip, 1)
 
 
 # -- bilinear resize -------------------------------------------------------

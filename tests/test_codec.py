@@ -367,6 +367,19 @@ class TestSequenceRoundTrip:
         assert header_bits == 8 * 23  # fixed header size
         assert abs(stats.bpp - stats.total_bits / (5 * 32 * 32)) < 1e-12
 
+    def test_empty_sequence_rejected(self):
+        # the header-only stream it made was refused by decode_sequence
+        with pytest.raises(UsageError, match="at least one frame"):
+            encode_sequence(np.zeros((0, 3, 32, 32), dtype=np.uint8), _model(), NEAR)
+
+    def test_intra_period_beyond_header_field_rejected(self):
+        with pytest.raises(UsageError, match="intra period"):
+            encode_sequence(_sequence(n=1), _model(), NEAR, intra_period=70000)
+
+    def test_frame_wider_than_header_field_rejected(self):
+        with pytest.raises(UsageError, match="frame size"):
+            encode_sequence(np.zeros((1, 3, 4, 65540), dtype=np.uint8), _model(), NEAR)
+
     def test_weights_hash_guard(self):
         model = _model()
         seq = _sequence(seed=16, n=3)

@@ -40,8 +40,9 @@ from bnvc.tensor import (
 # Oracles
 # ----------------------------------------------------------------------
 
-def _conv2d_loops(x, w, b, stride, pad):
+def _conv2d_loops(x, w, b, stride):
     c_out, c_in, k, _ = w.shape
+    pad = k // 2
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
     out_h = (x.shape[1] + 2 * pad - k) // stride + 1
     out_w = (x.shape[2] + 2 * pad - k) // stride + 1
@@ -58,12 +59,32 @@ def _conv2d_loops(x, w, b, stride, pad):
     return out
 
 
-def _conv_weight_grad_per_tap(g, x, k, pad):
+def _conv2d_loops_grads(x, w, g, stride):
+    """Input and weight gradients of sum(_conv2d_loops(x, w, b, stride) * g):
+    each output position scatters g back through its window."""
+    c_out, c_in, k, _ = w.shape
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for co in range(c_out):
+        for oy in range(g.shape[1]):
+            for ox in range(g.shape[2]):
+                for ci in range(c_in):
+                    for ky in range(k):
+                        for kx in range(k):
+                            iy, ix = oy * stride + ky, ox * stride + kx
+                            gxp[ci, iy, ix] += g[co, oy, ox] * w[co, ci, ky, kx]
+                            gw[co, ci, ky, kx] += g[co, oy, ox] * xp[ci, iy, ix]
+    return gxp[:, pad : pad + x.shape[1], pad : pad + x.shape[2]], gw
+
+
+def _conv_weight_grad_per_tap(g, x, k):
     """Stride-1 weight gradient as one GEMM per kernel tap over the flat
     padded input: each element is the dot product of the output gradient
     with the input shifted by that tap."""
     c_out, out_h, out_w = g.shape
-    xf, wp = tensor_mod._flat_padded(x, pad)
+    xf, wp = tensor_mod._flat_padded(x, k // 2)
     n = out_h * wp
     g_pad = np.zeros((c_out, out_h, wp))
     g_pad[:, :, :out_w] = g
@@ -110,7 +131,7 @@ class TestConv2d:
     def test_zero_kernel_and_bias(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(3, 6, 5))
-        out = conv2d(_t(x), _t(np.zeros((4, 3, 3, 3))), _t(np.zeros(4)), stride=1, pad=1)
+        out = conv2d(_t(x), _t(np.zeros((4, 3, 3, 3))), _t(np.zeros(4)), stride=1)
         assert out.data.shape == (4, 6, 5)
         np.testing.assert_array_equal(out.data, np.zeros((4, 6, 5)))
 
@@ -119,23 +140,31 @@ class TestConv2d:
         x = rng.normal(size=(2, 5, 5))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        got = conv2d(_t(x), _t(w), _t(b), stride=2, pad=1).data
-        want = _conv2d_loops(x, w, b, stride=2, pad=1)
+        got = conv2d(_t(x), _t(w), _t(b), stride=2).data
+        want = _conv2d_loops(x, w, b, stride=2)
         assert got.shape == (3, 3, 3)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (3, 2)])
-    def test_matches_loop_oracle_all_geometries(self, stride, pad):
-        rng = np.random.default_rng(stride * 10 + pad)
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_matches_loop_oracle_all_geometries(self, stride):
+        rng = np.random.default_rng(stride * 10 + 1)
         # C_out <= C_in and C_out > C_in select different forms at stride 1
         shapes = [(2, 2, 3)] + [(c_in, c_out, k) for c_in, c_out in [(3, 2), (3, 3), (2, 3)] for k in (1, 3)]
         for c_in, c_out, k in shapes:
-            x = rng.normal(size=(c_in, 7, 6))
-            w = rng.normal(size=(c_out, c_in, k, k))
-            b = rng.normal(size=c_out)
-            got = conv2d(_t(x), _t(w), _t(b), stride=stride, pad=pad).data
-            want = _conv2d_loops(x, w, b, stride, pad)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{c_in}->{c_out} k={k}")
+            msg = f"{c_in}->{c_out} k={k}"
+            x = _t(rng.normal(size=(c_in, 7, 6)), grad=True)
+            w = _t(rng.normal(size=(c_out, c_in, k, k)), grad=True)
+            b = _t(rng.normal(size=c_out), grad=True)
+            y = conv2d(x, w, b, stride=stride)
+            want = _conv2d_loops(x.data, w.data, b.data, stride)
+            np.testing.assert_allclose(y.data, want, rtol=0, atol=1e-12, err_msg=msg)
+            # the gradients of sum(y * g) are the loops' adjoints applied to g
+            g = rng.normal(size=want.shape)
+            sum_all(y * g).backward()
+            want_gx, want_gw = _conv2d_loops_grads(x.data, w.data, g, stride)
+            np.testing.assert_allclose(x.grad, want_gx, rtol=0, atol=1e-12, err_msg=msg)
+            np.testing.assert_allclose(w.grad, want_gw, rtol=0, atol=1e-12, err_msg=msg)
+            np.testing.assert_allclose(b.grad, g.sum(axis=(1, 2)), rtol=0, atol=1e-12, err_msg=msg)
 
     def test_stride1_forms_make_no_im2col_copy(self, monkeypatch):
         calls = []
@@ -148,7 +177,7 @@ class TestConv2d:
             takes both the input and the weight gradient."""
             x = _t(rng.normal(size=(c_in, 8, 8)), grad=True)
             w = _t(rng.normal(size=(c_out, c_in, 3, 3)), grad=True)
-            y = conv2d(x, w, _t(np.zeros(c_out), grad=True), stride=stride, pad=1)
+            y = conv2d(x, w, _t(np.zeros(c_out), grad=True), stride=stride)
             n_fwd = len(calls)
             sum_all(y).backward()
             n_all = len(calls)
@@ -167,11 +196,11 @@ class TestConv2d:
         rng = np.random.default_rng(100 * c_in + 10 * c_out + k)
         x = rng.normal(size=(c_in, 13, 11))
         g = rng.normal(size=(c_out, 13, 11))
-        got = tensor_mod._conv_weight_grad(g, x, k, 1, k // 2)
+        got = tensor_mod._conv_weight_grad(g, x, k, 1)
         assert got.flags.c_contiguous
         # same dot products, but the BLAS kernel it picks depends on the GEMM's
         # shape, so the summation order inside each one may differ
-        np.testing.assert_allclose(got, _conv_weight_grad_per_tap(g, x, k, k // 2), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, _conv_weight_grad_per_tap(g, x, k), rtol=0, atol=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
@@ -180,8 +209,8 @@ class TestConv2d:
         w = _t(rng.normal(size=(3, 2, 3, 3)))
         zero_b = _t(np.zeros(3))
         a, b = 1.7, -0.4
-        lhs = conv2d(_t(a * x + b * y), w, zero_b, pad=1).data
-        rhs = a * conv2d(_t(x), w, zero_b, pad=1).data + b * conv2d(_t(y), w, zero_b, pad=1).data
+        lhs = conv2d(_t(a * x + b * y), w, zero_b).data
+        rhs = a * conv2d(_t(x), w, zero_b).data + b * conv2d(_t(y), w, zero_b).data
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
     def test_shape_errors(self):
@@ -192,8 +221,6 @@ class TestConv2d:
             conv2d(x, _t(np.zeros((1, 2, 2, 2))), _t(np.zeros(1)))  # even kernel
         with pytest.raises(ShapeError):
             conv2d(x, _t(np.zeros((1, 2, 3, 3))), _t(np.zeros(2)))  # bad bias
-        with pytest.raises(ShapeError):
-            conv2d(_t(np.zeros((1, 2, 2))), _t(np.zeros((1, 1, 5, 5))), _t(np.zeros(1)))  # too small
 
 
 class TestBilinearResize:
@@ -319,12 +346,6 @@ class TestBackward:
         y.backward()
         np.testing.assert_allclose(x.grad, [2.0, 4.0], rtol=0, atol=1e-14)
 
-    def test_seed_shape_checked(self):
-        x = _t(np.zeros((2, 2)), grad=True)
-        y = x * 2.0
-        with pytest.raises(ShapeError):
-            y.backward(np.zeros(3))
-
     def test_unrecorded_tensor_rejected(self):
         with pytest.raises(UsageError):
             backward(Tensor(np.zeros(3)))
@@ -348,7 +369,7 @@ class TestBackward:
         w = _t(rng.normal(size=(3, 2, 3, 3)), grad=True)
         b = _t(rng.normal(size=3), grad=True)
         flow = _t(rng.normal(size=(2, 6, 6)) * 0.5, grad=True)
-        h1 = conv2d(x, w, b, pad=1)
+        h1 = conv2d(x, w, b)
         h2 = leaky_relu(h1)
         h3 = warp_bilinear(h2, flow)
         y = sum_all(h3)
@@ -390,7 +411,7 @@ class TestDeterminism:
         flow = rng.normal(size=(2, 12, 12)) * 0.7
 
         def run():
-            h = conv2d(_t(x), _t(w), _t(b), stride=1, pad=1)
+            h = conv2d(_t(x), _t(w), _t(b), stride=1)
             h = leaky_relu(h)
             h = warp_bilinear(h, _t(flow[:, :12, :12]))
             h = bilinear_resize(h, 6, 6)
@@ -406,7 +427,7 @@ class TestDeterminism:
         def run():
             x = _t(xv, grad=True)
             w = _t(wv, grad=True)
-            y = mean_all(leaky_relu(conv2d(x, w, _t(np.zeros(2)), pad=1)))
+            y = mean_all(leaky_relu(conv2d(x, w, _t(np.zeros(2)))))
             y.backward()
             return x.grad.tobytes() + w.grad.tobytes()
 
@@ -432,7 +453,7 @@ class TestGradCheck:
         flow = rng.choice([-1.0, 1.0], size=(2, 8, 8)) * rng.uniform(0.2, 0.45, size=(2, 8, 8))
 
         def fn(tx, tw, tb, tf):
-            h = leaky_relu(conv2d(tx, tw, tb, stride=1, pad=1))
+            h = leaky_relu(conv2d(tx, tw, tb, stride=1))
             h = warp_bilinear(h, tf)
             h = bilinear_resize(h, 4, 4)
             return mean_all(h * h)
