@@ -62,6 +62,13 @@ __all__ = [
 _U16_MAX = 0xFFFF
 
 
+def _check_rate_fields(lambda_index: int, intra_period: int) -> None:
+    if not 0 <= lambda_index <= 3:
+        raise UsageError(f"lambda index must be in 0..3, got {lambda_index}")
+    if not 1 <= intra_period <= _U16_MAX:
+        raise UsageError(f"intra period must be in 1..{_U16_MAX}, got {intra_period}")
+
+
 @dataclass
 class Frame:
     """One decoded picture: 8-bit pixels, stored feature, decoded flow."""
@@ -299,10 +306,7 @@ def encode_sequence(
     if h > _U16_MAX or w > _U16_MAX:
         raise UsageError(f"frame size must be at most {_U16_MAX} per side, got {h}x{w}")
     model.latent_hw(h, w)  # validates divisibility
-    if not 0 <= lambda_index <= 3:
-        raise UsageError(f"lambda index must be in 0..3, got {lambda_index}")
-    if not 1 <= intra_period <= _U16_MAX:
-        raise UsageError(f"intra period must be in 1..{_U16_MAX}, got {intra_period}")
+    _check_rate_fields(lambda_index, intra_period)
 
     weights_hash = model.prepare_for_coding()
     header = StreamHeader(
@@ -357,10 +361,13 @@ def decode_sequence(
     h, w = header.height, header.width
     try:
         model.latent_hw(h, w)
+        _check_rate_fields(header.lambda_index, header.intra_period)
         policy = DuplicationPolicy.from_wire(header.policy_wire)
         fusion = FusionMode.from_wire(header.fusion_wire)
     except UsageError as err:
         raise CorruptStreamError(f"invalid stream header: {err}") from None
+    if header.n_ref < 1:
+        raise CorruptStreamError("invalid stream header: no model has 0 references")
     weights_hash = model.prepare_for_coding()
     if header.weights_hash != weights_hash:
         raise UsageError(

@@ -58,7 +58,6 @@ __all__ = [
     "range_decode",
     "GaussianModel",
     "LogisticModel",
-    "UniformModel",
     "estimate_bits",
 ]
 
@@ -305,11 +304,6 @@ class LogisticModel:
     scale: np.ndarray
 
 
-@dataclass(frozen=True)
-class UniformModel:
-    support_size: int
-
-
 def _bin_probs(values, loc, scale, cdf) -> np.ndarray:
     """Unit-bin masses of `values` under `cdf((x - loc) / scale)`, taken at
     -|values - loc| (the mass is symmetric about `loc`), where both CDF terms
@@ -321,19 +315,15 @@ def _bin_probs(values, loc, scale, cdf) -> np.ndarray:
 
 
 def estimate_bits(values, model) -> float:
-    """Ideal code length of `values` under `model`, in bits.
+    """Ideal code length of `values` under a GaussianModel or LogisticModel, in bits.
 
-    Each value is charged -log2 of its unit-bin probability. Pass
+    The rate tests hold the coder and the training rate terms to this
+    figure. Each value is charged -log2 of its unit-bin probability. Pass
     rounded integers to rate the inference path, or noisy continuous
     values (value + uniform(-0.5, 0.5)) to rate the training surrogate;
-    the formula is the same. A UniformModel charges exactly
-    log2(support_size) per value. Probabilities are floored at 2^-60.
+    the formula is the same. Probabilities are floored at 2^-60.
     """
     v = np.asarray(values, dtype=np.float64)
-    if isinstance(model, UniformModel):
-        if model.support_size < 1:
-            raise UsageError("uniform model needs support_size >= 1")
-        return float(v.size * math.log2(model.support_size))
     if isinstance(model, GaussianModel):
         probs = _bin_probs(v, model.mean, model.scale, _special.ndtr)
     elif isinstance(model, LogisticModel):

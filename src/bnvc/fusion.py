@@ -26,14 +26,13 @@ ablation variants of each other.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError, UsageError
 from .network import Conv, ParamStore, ResBlock
-from .tensor import Tensor, bilinear_resize, concat_channels, leaky_relu, no_grad
+from .tensor import Tensor, bilinear_resize, concat_channels, leaky_relu
 
 __all__ = [
     "FusionMode",
@@ -42,7 +41,6 @@ __all__ = [
     "DownsampleStage",
     "GridFuse",
     "MultiRefFusion",
-    "occlusion_sensitivity",
 ]
 
 
@@ -99,9 +97,6 @@ class ContextPyramid:
     c0: Tensor
     c1: Tensor
     c2: Tensor
-
-    def levels(self) -> tuple[Tensor, Tensor, Tensor]:
-        return (self.c0, self.c1, self.c2)
 
 
 def _check_spatial(x: Tensor) -> tuple[int, int]:
@@ -247,32 +242,3 @@ class MultiRefFusion:
             self.merge[1](concat_channels([c.c1 for c in ctxs])),
             self.merge[2](concat_channels([c.c2 for c in ctxs])),
         )
-
-
-def occlusion_sensitivity(
-    fusion: MultiRefFusion,
-    warped: list[Tensor],
-    frame_index: int,
-    magnitude: float = 1.0,
-    patch: tuple[int, int, int] = (0, 2, 2),
-) -> float:
-    """L2 change of the full-resolution context when one frame is probed.
-
-    A localized patch of `magnitude` is added to warped[frame_index]
-    only (channel patch[0], patch[1] x patch[2] pixels at the center).
-    A positive result certifies an information path from that reference
-    into the fused context.
-    """
-    if not 0 <= frame_index < len(warped):
-        raise UsageError(f"frame_index {frame_index} out of range for {len(warped)} references")
-    with no_grad():
-        base = fusion(warped).c0.data
-        probed = [Tensor(t.data) for t in warped]
-        c, h, w = probed[frame_index].shape
-        ch, ph, pw = patch
-        y0, x0 = (h - ph) // 2, (w - pw) // 2
-        bumped = probed[frame_index].data.copy()
-        bumped[ch % c, y0 : y0 + ph, x0 : x0 + pw] += magnitude
-        probed[frame_index] = Tensor(bumped)
-        out = fusion(probed).c0.data
-    return float(math.sqrt(np.sum((out - base) ** 2)))

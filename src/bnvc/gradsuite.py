@@ -1,12 +1,15 @@
 """Gradient verification suite: every tensor op against central finite
 differences, the composed fusion front-end, and the full coding
-pipeline at toy size. `tests/test_gradsuite.py` runs all three.
+pipeline at toy size. Each check returns a `GradCheckReport` named after
+what it checks. The op and fusion checks run at `grad_check`'s default
+step and tolerance; the pipeline check has its own, fixed below.
+`tests/test_gradsuite.py` runs all three.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,20 +37,10 @@ from .tensor import (
     warp_bilinear,
 )
 
-__all__ = ["CheckResult", "op_checks", "butterfly_check", "pipeline_check", "run_suite"]
+__all__ = ["op_checks", "butterfly_check", "pipeline_check", "run_suite"]
 
-
-@dataclass
-class CheckResult:
-    name: str
-    max_rel_err: float
-    passed: bool
-    note: str = ""
-
-    def line(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        extra = f" ({self.note})" if self.note else ""
-        return f"{status}  {self.name:<28} max_rel_err={self.max_rel_err:.3e}{extra}"
+_PIPELINE_TOL = 1e-3
+_PIPELINE_EPS_LADDER = (1e-5, 1e-4, 4e-4)
 
 
 def _projected(out: Tensor, seed: int) -> Tensor:
@@ -55,11 +48,7 @@ def _projected(out: Tensor, seed: int) -> Tensor:
     return sum_all(out * Tensor(r))
 
 
-def _result(name: str, report: GradCheckReport) -> CheckResult:
-    return CheckResult(name, report.max_rel_err, report.passed, report.note)
-
-
-def op_checks(seed: int = 0, eps: float = 1e-5, tol: float = 1e-4) -> list[CheckResult]:
+def op_checks(seed: int = 0) -> list[GradCheckReport]:
     """Per-op finite-difference checks at small sizes.
 
     Inputs keep a margin from the kinks of leaky_relu/clamp and from
@@ -104,10 +93,10 @@ def op_checks(seed: int = 0, eps: float = 1e-5, tol: float = 1e-4) -> list[Check
         ("sum_all", lambda t: sum_all(t), [a]),
         ("mean_all", lambda t: mean_all(t), [a]),
     ]
-    return [_result(name, grad_check(fn, inputs, eps=eps, tol=tol, seed=seed)) for name, fn, inputs in cases]
+    return [replace(grad_check(fn, inputs, seed=seed), name=name) for name, fn, inputs in cases]
 
 
-def butterfly_check(seed: int = 0, tol: float = 1e-4, max_coords: int = 60) -> CheckResult:
+def butterfly_check(seed: int = 0) -> GradCheckReport:
     """Composed fusion forward on a 4-frame, 8-channel, 16x16 instance."""
     store = ParamStore()
     fusion = MultiRefFusion(store, "fuse", 4, (8, 12, 16), FusionMode.BUTTERFLY, np.random.default_rng(seed))
@@ -121,15 +110,10 @@ def butterfly_check(seed: int = 0, tol: float = 1e-4, max_coords: int = 60) -> C
         total = total + sum_all(ctx.c1 * Tensor(proj[1]))
         return total + sum_all(ctx.c2 * Tensor(proj[2]))
 
-    return _result("butterfly_forward", grad_check(fn, warped, eps=1e-5, tol=tol, max_coords=max_coords, seed=seed + 2))
+    return replace(grad_check(fn, warped, max_coords=60, seed=seed + 2), name="butterfly_forward")
 
 
-def pipeline_check(
-    seed: int = 0,
-    tol: float = 1e-3,
-    per_param: int = 3,
-    eps_ladder: tuple[float, ...] = (1e-5, 1e-4, 4e-4),
-) -> CheckResult:
+def pipeline_check(seed: int = 0, per_param: int = 3) -> GradCheckReport:
     """Full coding pipeline loss on a 16x16, 4-channel model.
 
     Analytic parameter gradients of the training loss, which runs the
@@ -176,7 +160,7 @@ def pipeline_check(
     try:
         loss = loss_value()
         if not np.isfinite(loss.data):
-            return CheckResult("full_pipeline", math.inf, False, "non-finite loss")
+            return GradCheckReport(math.inf, False, 0, "non-finite loss", name="full_pipeline")
         loss.backward()
         grads = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
         for p in params:
@@ -191,12 +175,12 @@ def pipeline_check(
         picks.extend((pi, int(idx)) for idx in order if mags[idx] > 0.0)
 
     max_rel = 0.0
-    for pi, idx in picks:
+    for checked, (pi, idx) in enumerate(picks):
         flat = params[pi].data.reshape(-1)
         orig = flat[idx]
         analytic = float(grads[pi].reshape(-1)[idx])
         best = math.inf
-        for eps in eps_ladder:
+        for eps in _PIPELINE_EPS_LADDER:
             flat[idx] = orig + eps
             with no_grad():
                 hi = float(loss_value().data)
@@ -205,14 +189,14 @@ def pipeline_check(
                 lo = float(loss_value().data)
             flat[idx] = orig
             if not (math.isfinite(hi) and math.isfinite(lo)):
-                return CheckResult("full_pipeline", math.inf, False, "non-finite finite-difference value")
+                return GradCheckReport(math.inf, False, checked, "non-finite finite-difference value", name="full_pipeline")
             numeric = (hi - lo) / (2.0 * eps)
             best = min(best, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8))
         max_rel = max(max_rel, best)
-    return CheckResult("full_pipeline", max_rel, max_rel <= tol)
+    return GradCheckReport(max_rel, max_rel <= _PIPELINE_TOL, len(picks), name="full_pipeline")
 
 
-def run_suite(seed: int = 0, full: bool = True) -> list[CheckResult]:
+def run_suite(seed: int = 0, full: bool = True) -> list[GradCheckReport]:
     results = op_checks(seed)
     results.append(butterfly_check(seed))
     if full:

@@ -1,4 +1,4 @@
-"""Distortion and rate metrics: PSNR, BD-rate, and RD report tables.
+"""Distortion and rate metrics: PSNR and BD-rate.
 
 BD-rate follows the classic polynomial form: each curve's log10(rate)
 is fitted with a cubic in PSNR, the fitted log-rate difference is
@@ -10,17 +10,15 @@ to the anchor.
 
 from __future__ import annotations
 
-import io
 import math
-import sys
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import UsageError
 
-__all__ = ["RDPoint", "SequenceResult", "RunResult", "psnr", "bd_rate", "rd_report", "RDReport"]
+__all__ = ["RDPoint", "psnr", "bd_rate"]
 
 
 @dataclass(frozen=True)
@@ -35,8 +33,7 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio between two 8-bit images, in dB.
 
     Computed as 10*log10(255^2 / MSE) over every sample of every
-    channel. Identical inputs return math.inf (rendered as "inf" in
-    reports).
+    channel. Identical inputs return math.inf.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -85,105 +82,3 @@ def bd_rate(anchor: Sequence[RDPoint], test: Sequence[RDPoint]) -> float:
         (np.polyval(int_t, hi) - np.polyval(int_t, lo)) - (np.polyval(int_a, hi) - np.polyval(int_a, lo))
     ) / (hi - lo)
     return (10.0**avg_diff - 1.0) * 100.0
-
-
-@dataclass(frozen=True)
-class SequenceResult:
-    """Coding outcome for one sequence at one operating point."""
-
-    name: str
-    frames: int
-    bits: int
-    bpp: float
-    psnr: float
-
-
-@dataclass(frozen=True)
-class RunResult:
-    """One operating point (one lambda) over a fixed sequence set."""
-
-    label: str
-    sequences: list[SequenceResult]
-
-    def sequence_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.sequences)
-
-    @property
-    def mean_bpp(self) -> float:
-        return float(np.mean([s.bpp for s in self.sequences]))
-
-    @property
-    def mean_psnr(self) -> float:
-        return float(np.mean([s.psnr for s in self.sequences]))
-
-
-@dataclass
-class RDReport:
-    rows: list[dict] = field(default_factory=list)
-    bd_rate_percent: Optional[float] = None
-    monotone_psnr: bool = True
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        cols = ["label", "bpp", "psnr"]
-        if self.bd_rate_percent is not None:
-            cols.append("bd_rate_vs_baseline")
-        out.write(",".join(cols) + "\n")
-        for i, row in enumerate(self.rows):
-            cells = [str(row["label"]), f"{row['bpp']:.17g}", f"{row['psnr']:.17g}"]
-            if self.bd_rate_percent is not None:
-                cells.append(f"{self.bd_rate_percent:.17g}" if i == 0 else "")
-            out.write(",".join(cells) + "\n")
-        return out.getvalue()
-
-    def to_table(self) -> str:
-        out = io.StringIO()
-        header = f"{'run':<16} {'bpp':>12} {'psnr(dB)':>12}"
-        out.write(header + "\n")
-        out.write("-" * len(header) + "\n")
-        for row in self.rows:
-            p = row["psnr"]
-            p_str = "inf" if math.isinf(p) else f"{p:.4f}"
-            out.write(f"{row['label']:<16} {row['bpp']:>12.6f} {p_str:>12}\n")
-        if self.bd_rate_percent is not None:
-            out.write(f"BD-rate vs baseline: {self.bd_rate_percent:+.4f}%\n")
-        if not self.monotone_psnr:
-            out.write("warning: PSNR is not monotone in bpp across these runs\n")
-        return out.getvalue()
-
-
-def rd_report(runs: Sequence[RunResult], baseline: Optional[Sequence[RunResult]] = None) -> RDReport:
-    """Aggregate per-lambda runs into an RD table, optionally with BD-rate.
-
-    Every run must cover the same sequence set. Per-run bpp/psnr are the
-    means of the per-sequence values (each sequence's bpp already being
-    total bits over total pixels, intra and headers included). With a
-    baseline of >= 4 runs, a BD-rate of the runs against the baseline is
-    appended. Non-monotone PSNR across bpp-sorted runs is flagged, not
-    rejected.
-    """
-    if not runs:
-        raise UsageError("rd_report needs at least one run")
-    names = runs[0].sequence_names()
-    for run in runs:
-        if run.sequence_names() != names:
-            raise UsageError(
-                f"run {run.label!r} covers sequences {run.sequence_names()}, expected {names}"
-            )
-    rows = sorted(
-        ({"label": r.label, "bpp": r.mean_bpp, "psnr": r.mean_psnr} for r in runs),
-        key=lambda row: row["bpp"],
-    )
-    psnrs = [row["psnr"] for row in rows]
-    monotone = all(b >= a for a, b in zip(psnrs, psnrs[1:]))
-    report = RDReport(rows=rows, monotone_psnr=monotone)
-    if not monotone:
-        print("rd_report: PSNR not monotone in bpp", file=sys.stderr)
-    if baseline is not None:
-        for run in baseline:
-            if run.sequence_names() != names:
-                raise UsageError("baseline runs cover a different sequence set")
-        anchor = sorted((RDPoint(r.mean_bpp, r.mean_psnr) for r in baseline), key=lambda p: p.bpp)
-        test = [RDPoint(row["bpp"], row["psnr"]) for row in rows]
-        report.bd_rate_percent = bd_rate(anchor, test)
-    return report

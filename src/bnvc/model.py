@@ -238,9 +238,12 @@ class CodecModel:
     def load(cls, manifest_path: str | Path) -> "CodecModel":
         manifest_path = Path(manifest_path)
         manifest = read_manifest(manifest_path)
-        config = ModelConfig.from_manifest(manifest["model"])
-        model = cls(config, seed=0)
-        model.store.load(manifest_path.parent / manifest["data_file"], manifest["params"])
+        try:
+            model = cls(ModelConfig.from_manifest(manifest["model"]), seed=0)
+            bin_path, params = manifest_path.parent / manifest["data_file"], manifest["params"]
+        except (KeyError, TypeError, ValueError, AttributeError) as err:
+            raise UsageError(f"malformed weights manifest {manifest_path}: {err!r}") from None
+        model.store.load(bin_path, params)
         return model
 
 

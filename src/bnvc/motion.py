@@ -22,22 +22,21 @@ from .tensor import Tensor, warp_bilinear
 __all__ = ["estimate_motion", "compose_flows"]
 
 _PAD_VALUE = 1.0e18  # poisons SAD for windows leaving the frame
+_SEARCH_RANGE = 4
 
 
 def estimate_motion(
     current: np.ndarray,
     reference: np.ndarray,
     block: int = 8,
-    search_range: int = 4,
 ) -> np.ndarray:
     """Dense backward flow from exhaustive per-block SAD search.
 
-    Candidates (dy, dx) run over [-search_range, search_range]^2 in
-    raster order (dy outer); windows that would leave the reference are
-    excluded. Ties break toward the smaller displacement magnitude
-    dy^2 + dx^2, then toward the earlier candidate in raster order. The
-    per-block winner is broadcast over its block in the returned
-    (2, H, W) field.
+    Candidates (dy, dx) run over [-4, 4]^2 in raster order (dy outer);
+    windows that would leave the reference are excluded. Ties break
+    toward the smaller displacement magnitude dy^2 + dx^2, then toward
+    the earlier candidate in raster order. The per-block winner is
+    broadcast over its block in the returned (2, H, W) field.
     """
     cur = np.asarray(current, dtype=np.float64)
     ref = np.asarray(reference, dtype=np.float64)
@@ -48,9 +47,7 @@ def estimate_motion(
     _, h, w = cur.shape
     if h % block or w % block:
         raise UsageError(f"frame {h}x{w} not divisible by block size {block}")
-    if search_range < 0:
-        raise UsageError(f"search range must be >= 0, got {search_range}")
-    r = search_range
+    r = _SEARCH_RANGE
     nby, nbx = h // block, w // block
 
     refp = np.pad(ref, ((0, 0), (r, r), (r, r)), constant_values=_PAD_VALUE)

@@ -100,17 +100,30 @@ class ParamStore:
         Path(bin_path).write_bytes(self.to_f32_bytes())
 
     def load(self, bin_path: Path, manifest_params: list[dict]) -> None:
-        """Load float32 values in manifest order; shapes must match."""
-        names = [p["name"] for p in manifest_params]
-        if names != self.names():
+        """Load float32 values in manifest order; names and shapes must match.
+
+        Every name, shape and the binary's size are checked before any
+        value is written, so a refused load leaves the weights and their
+        cached hash as they were.
+        """
+        try:
+            listed = [(p["name"], tuple(p["shape"])) for p in manifest_params]
+        except (KeyError, TypeError) as err:
+            raise UsageError(f"malformed weights manifest parameter list: {err!r}") from None
+        if [name for name, _ in listed] != self.names():
             raise UsageError("weights manifest parameter list does not match this model")
-        raw = np.frombuffer(Path(bin_path).read_bytes(), dtype="<f4")
-        if raw.size != self.n_values():
-            raise UsageError(f"weights binary holds {raw.size} values, model needs {self.n_values()}")
+        for (name, shape), t in zip(listed, self._params.values()):
+            if shape != t.data.shape:
+                raise ShapeError(f"parameter {name}: manifest shape {list(shape)} != {t.data.shape}")
+        try:
+            data = Path(bin_path).read_bytes()
+        except OSError as err:
+            raise UsageError(f"cannot read weights binary {bin_path}: {err}") from None
+        if len(data) != 4 * self.n_values():
+            raise UsageError(f"weights binary holds {len(data)} bytes, model needs {4 * self.n_values()}")
+        raw = np.frombuffer(data, dtype="<f4")
         pos = 0
-        for entry, t in zip(manifest_params, self._params.values()):
-            if tuple(entry["shape"]) != t.data.shape:
-                raise ShapeError(f"parameter {entry['name']}: manifest shape {entry['shape']} != {t.data.shape}")
+        for t in self._params.values():
             n = t.data.size
             t.data[...] = raw[pos : pos + n].astype(np.float64).reshape(t.data.shape)
             pos += n
@@ -178,6 +191,6 @@ def read_manifest(manifest_path: Path) -> dict:
         manifest = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise UsageError(f"cannot read weights manifest {manifest_path}: {err}") from err
-    if manifest.get("format") != "bnvc-weights":
+    if not isinstance(manifest, dict) or manifest.get("format") != "bnvc-weights":
         raise UsageError(f"{manifest_path} is not a weights manifest")
     return manifest

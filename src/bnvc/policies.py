@@ -21,13 +21,6 @@ class DuplicationPolicy(enum.Enum):
     NEAR = "near"
     FURTHER = "further"
 
-    @classmethod
-    def parse(cls, name: str) -> "DuplicationPolicy":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise UsageError(f"unknown duplication policy {name!r}; expected 'near' or 'further'") from None
-
     @property
     def wire_value(self) -> int:
         return 0 if self is DuplicationPolicy.NEAR else 1

@@ -1,8 +1,8 @@
 """Seeded synthetic sequences: moving rectangles over a static gradient.
 
 The occlusion variant adds a blinker object that is drawn on only one
-frame out of every `occlusion_period`, so at any later time exactly one
-of the four most recent frames contains it. Predicting the frame where
+frame out of every four, so at any later time exactly one of the four
+most recent frames contains it. Predicting the frame where
 it reappears requires reaching past the nearest reference.
 """
 
@@ -13,6 +13,9 @@ import numpy as np
 from .errors import UsageError
 
 __all__ = ["generate_sequence", "generate_dataset"]
+
+_N_RECTS = 2
+_OCCLUSION_PERIOD = 4
 
 
 def _draw_rect(frame: np.ndarray, y: int, x: int, hh: int, ww: int, color: np.ndarray) -> None:
@@ -29,14 +32,10 @@ def generate_sequence(
     n_frames: int = 20,
     seed: int = 0,
     occlusion: bool = False,
-    occlusion_period: int = 4,
-    n_rects: int = 2,
 ) -> np.ndarray:
     """(n_frames, 3, height, width) uint8 frames, fully seeded."""
     if width % 4 or height % 4:
         raise UsageError(f"frame size must be divisible by 4, got {height}x{width}")
-    if occlusion and occlusion_period < 2:
-        raise UsageError("occlusion period must be >= 2")
     rng = np.random.default_rng(seed)
 
     gx = np.linspace(0, 1, width)[None, :]
@@ -48,7 +47,7 @@ def generate_sequence(
     background = background.astype(np.uint8)
 
     rects = []
-    for _ in range(n_rects):
+    for _ in range(_N_RECTS):
         rects.append(
             {
                 "y": int(rng.integers(0, max(1, height - 8))),
@@ -71,7 +70,7 @@ def generate_sequence(
             "x": (width - side) // 2,
             "side": side,
             "color": rng.integers(180, 256, size=3),
-            "phase": int(rng.integers(0, occlusion_period)),
+            "phase": int(rng.integers(0, _OCCLUSION_PERIOD)),
         }
 
     frames = np.empty((n_frames, 3, height, width), dtype=np.uint8)
@@ -87,7 +86,7 @@ def generate_sequence(
             if r["x"] < 0 or r["x"] + r["w"] > width:
                 r["vx"] = -r["vx"]
                 r["x"] += 2 * r["vx"]
-        if blinker is not None and t % occlusion_period == blinker["phase"]:
+        if blinker is not None and t % _OCCLUSION_PERIOD == blinker["phase"]:
             _draw_rect(frame, blinker["y"], blinker["x"], blinker["side"], blinker["side"], blinker["color"])
         frames[t] = frame
     return frames

@@ -253,12 +253,15 @@ def _div(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), back)
 
 
-def leaky_relu(x: Tensor, slope: float = 0.1) -> Tensor:
+_LEAKY_SLOPE = 0.1
+
+
+def leaky_relu(x: Tensor) -> Tensor:
     mask = x.data >= 0.0
-    data = np.where(mask, x.data, slope * x.data)
+    data = np.where(mask, x.data, _LEAKY_SLOPE * x.data)
 
     def back(g):
-        return (np.where(mask, g, slope * g),)
+        return (np.where(mask, g, _LEAKY_SLOPE * g),)
 
     return _node(data, (x,), back)
 
@@ -648,11 +651,12 @@ class GradCheckReport:
     passed: bool
     n_coords: int
     note: str = ""
+    name: str = "grad_check"
 
     def __str__(self) -> str:
         status = "pass" if self.passed else "FAIL"
         extra = f" ({self.note})" if self.note else ""
-        return f"grad_check {status}: max_rel_err={self.max_rel_err:.3e} over {self.n_coords} coords{extra}"
+        return f"{status}  {self.name:<28} max_rel_err={self.max_rel_err:.3e} over {self.n_coords} coords{extra}"
 
 
 def grad_check(

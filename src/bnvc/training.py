@@ -43,15 +43,16 @@ class TrainingDiverged(BnvcError, RuntimeError):
         self.step = step
 
 
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+_CLIP_NORM = 10.0  # global gradient-norm bound of every training step
+
+
 class Adam:
     """Standard Adam with optional global-norm gradient clipping."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -71,17 +72,17 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - _BETA1**self.t
+        b2c = 1.0 - _BETA2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * (g * g)
+            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -96,7 +97,6 @@ class TrainingConfig:
     policy: DuplicationPolicy = DuplicationPolicy.NEAR
     rollout: int = 4
     lr: float = 1e-3
-    clip_norm: float = 10.0
 
     def __post_init__(self):
         if not 0 <= self.lambda_index <= 3:
@@ -115,10 +115,6 @@ class TrainingLog:
 
     def add(self, step: int, loss: float, bpp: float, mse: float) -> None:
         self.entries.append({"step": step, "loss": loss, "bpp": bpp, "mse": mse})
-
-    def window_mean(self, start: int, stop: int) -> float:
-        vals = [e["loss"] for e in self.entries[start:stop]]
-        return float(np.mean(vals))
 
 
 def rollout_loss(
@@ -187,7 +183,7 @@ def train_toy(model: CodecModel, dataset: Sequence[np.ndarray], config: Training
                 raise TrainingDiverged(step, loss_val)
             opt.zero_grad()
             loss.backward()
-            opt.clip_global_norm(config.clip_norm)
+            opt.clip_global_norm(_CLIP_NORM)
             opt.step()
             model.store.mark_dirty()
             log.add(step, loss_val, bpp, mse)

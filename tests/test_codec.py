@@ -2,6 +2,7 @@
 frame and sequence round trips, corruption detection, and refusal paths.
 """
 
+import json
 import zlib
 from collections import deque
 
@@ -485,7 +486,8 @@ def _patched(data, offset, value):
 class TestHeaderFields:
     """Invalid header bytes are stream corruption; a valid header naming
     another model is a caller mistake. Offsets follow bitstream's layout:
-    width u16 at 5, policy u8 at 10, fusion u8 at 11."""
+    width u16 at 5, n_ref u8 at 9, policy u8 at 10, fusion u8 at 11,
+    intra_period u16 at 12, lambda_index u8 at 14."""
 
     @pytest.fixture(scope="class")
     def coded(self):
@@ -509,6 +511,16 @@ class TestHeaderFields:
         with pytest.raises(CorruptStreamError, match="fusion mode byte 9"):
             decode_sequence(_patched(data, 11, bytes([9])), model)
 
+    @pytest.mark.parametrize(
+        "offset, value",
+        [(14, bytes([200])), (12, (0).to_bytes(2, "little")), (9, bytes([0]))],
+        ids=["lambda_index_200", "intra_period_0", "n_ref_0"],
+    )
+    def test_field_no_encoder_writes_is_corrupt(self, coded, offset, value):
+        model, data = coded
+        with pytest.raises(CorruptStreamError, match="invalid stream header"):
+            decode_sequence(_patched(data, offset, value), model)
+
     def test_valid_other_fusion_mode_is_usage_error(self, coded):
         model, data = coded
         with pytest.raises(UsageError, match="together fusion"):
@@ -526,6 +538,26 @@ class TestSaveLoadRoundTrip:
         data, _, recons = encode_sequence(seq, model, NEAR)
         decoded, _ = decode_sequence(data, loaded)
         np.testing.assert_array_equal(decoded, recons)
+
+    @pytest.mark.parametrize(
+        "break_files",
+        [
+            lambda manifest, bin_path: bin_path.unlink(),
+            lambda manifest, bin_path: manifest.pop("model"),
+            lambda manifest, bin_path: manifest["model"].update(fusion=3),
+            lambda manifest, bin_path: manifest.update(params="x"),
+            lambda manifest, bin_path: manifest["model"].update(ctx_channels=[8, 12]),
+        ],
+        ids=["missing_bin", "no_model_entry", "fusion_not_a_name", "params_not_a_list", "two_context_levels"],
+    )
+    def test_malformed_weights_files_are_usage_errors(self, tmp_path, break_files):
+        path = tmp_path / "w.json"
+        _model().save(path)
+        manifest = json.loads(path.read_text())
+        break_files(manifest, tmp_path / "w.bin")
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(UsageError):
+            CodecModel.load(path)
 
     def test_manifest_carries_config(self, tmp_path):
         cfg = ModelConfig(**{**TINY.__dict__, "fusion": FusionMode.INDEPENDENT, "n_ref": 2})

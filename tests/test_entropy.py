@@ -22,7 +22,6 @@ from bnvc.entropy import (
     LogisticModel,
     QuantizedCdf,
     TableSet,
-    UniformModel,
     build_gaussian_cdf_rows,
     build_logistic_cdf_rows,
     estimate_bits,
@@ -282,10 +281,6 @@ class TestEstimateBits:
     def test_mode_of_near_delta_gaussian(self):
         bits = estimate_bits([0], GaussianModel(np.array([0.0]), np.array([0.04])))
         assert bits < 0.01
-
-    def test_uniform_256_exact(self):
-        bits = estimate_bits(np.zeros(100), UniformModel(256))
-        assert bits == 800.0
 
     def test_matches_summation_oracle(self):
         rng = np.random.default_rng(4242)

@@ -99,7 +99,7 @@ class TestSynth:
     def test_occlusion_blinker_visible_once_per_window(self):
         period = 4
         plain = generate_sequence(n_frames=16, seed=9, occlusion=False)
-        occl = generate_sequence(n_frames=16, seed=9, occlusion=True, occlusion_period=period)
+        occl = generate_sequence(n_frames=16, seed=9, occlusion=True)
         visible = [bool(np.any(plain[t] != occl[t])) for t in range(16)]
         assert any(visible)
         phase = visible.index(True)

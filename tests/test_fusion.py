@@ -1,21 +1,16 @@
 """Tests for the multi-reference fusion modes.
 
 Covers the shape contract shared by all modes, the structural
-independence of the per-frame downsampling, information paths from
-every reference into the fused context (the probe property), and
-gradient correctness of the full butterfly against finite differences.
+independence of the per-frame downsampling, gradient paths from every
+reference into the fused context in every mode, and gradient
+correctness of the full butterfly against finite differences.
 """
 
 import numpy as np
 import pytest
 
 from bnvc.errors import ShapeError, UsageError
-from bnvc.fusion import (
-    ContextPyramid,
-    FusionMode,
-    MultiRefFusion,
-    occlusion_sensitivity,
-)
+from bnvc.fusion import ContextPyramid, FusionMode, MultiRefFusion
 from bnvc.network import ParamStore
 from bnvc.tensor import Tensor, no_grad, sum_all
 
@@ -91,9 +86,10 @@ class TestGridFuse:
         assert a.c1.data.tobytes() == b.c1.data.tobytes()
         assert a.c2.data.tobytes() == b.c2.data.tobytes()
 
-    def test_every_input_column_reaches_output(self):
+    @pytest.mark.parametrize("mode", list(FusionMode))
+    def test_every_input_column_reaches_output(self, mode):
         # gradient of sum(c0) with respect to each frame's full-res level
-        fusion, _ = _fusion(FusionMode.BUTTERFLY, channels=(8, 12, 16))
+        fusion, _ = _fusion(mode, channels=(8, 12, 16))
         rng = np.random.default_rng(3)
         warped = [Tensor(rng.normal(size=(8, 16, 16)), requires_grad=True) for _ in range(4)]
         ctx = fusion(warped)
@@ -138,7 +134,7 @@ class TestFusionModes:
         assert ctx.c0.shape == (16, 32, 32)
         assert ctx.c1.shape == (24, 16, 16)
         assert ctx.c2.shape == (32, 8, 8)
-        for level in ctx.levels():
+        for level in (ctx.c0, ctx.c1, ctx.c2):
             assert np.all(np.isfinite(level.data))
 
     @pytest.mark.parametrize("mode", list(FusionMode))
@@ -166,16 +162,7 @@ class TestFusionModes:
 
 
 class TestOcclusionSensitivity:
-    def test_zero_probe_zero_sensitivity(self):
-        fusion, _ = _fusion(FusionMode.BUTTERFLY)
-        assert occlusion_sensitivity(fusion, _warped(), 2, magnitude=0.0) == 0.0
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_unit_probe_positive_for_every_reference(self, seed):
-        fusion, _ = _fusion(FusionMode.BUTTERFLY, seed=seed)
-        warped = _warped(seed=seed + 100)
-        for j in range(4):
-            assert occlusion_sensitivity(fusion, warped, j) > 1e-8
+    """A local patch added to one reference stays out of the others' pyramids."""
 
     def test_probe_leaves_other_pyramids_bit_identical(self):
         fusion, _ = _fusion(FusionMode.BUTTERFLY)
@@ -191,11 +178,6 @@ class TestOcclusionSensitivity:
             assert base[j].f0.data.tobytes() == after[j].f0.data.tobytes()
             assert base[j].f1.data.tobytes() == after[j].f1.data.tobytes()
             assert base[j].f2.data.tobytes() == after[j].f2.data.tobytes()
-
-    def test_bad_frame_index_rejected(self):
-        fusion, _ = _fusion(FusionMode.BUTTERFLY)
-        with pytest.raises(UsageError):
-            occlusion_sensitivity(fusion, _warped(), 4)
 
 
 class TestButterflyGradients:

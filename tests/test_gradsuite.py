@@ -8,9 +8,9 @@ from bnvc.gradsuite import butterfly_check, pipeline_check
 
 def test_butterfly_fusion_matches_finite_differences():
     result = butterfly_check()
-    assert result.passed, result.line()
+    assert result.passed, str(result)
 
 
 def test_full_pipeline_matches_finite_differences():
     result = pipeline_check(per_param=1)
-    assert result.passed, result.line()
+    assert result.passed, str(result)

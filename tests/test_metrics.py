@@ -1,4 +1,4 @@
-"""Tests for PSNR, BD-rate arithmetic, and RD reporting.
+"""Tests for PSNR and BD-rate arithmetic.
 
 The BD-rate oracle is an independent numerical quadrature: the same
 cubic fits, but integrated with a fine trapezoid rule instead of exact
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bnvc.errors import UsageError
-from bnvc.metrics import RDPoint, RunResult, SequenceResult, bd_rate, psnr, rd_report
+from bnvc.metrics import RDPoint, bd_rate, psnr
 
 
 def _trapezoid_bd_rate(anchor, test, samples=200_001):
@@ -115,62 +115,3 @@ class TestBdRate:
         with pytest.raises(UsageError):
             bd_rate(low, high)
 
-
-def _run(label, bpp_psnr, names=("seq0", "seq1")):
-    seqs = [
-        SequenceResult(name=n, frames=16, bits=int(b * 16 * 1024), bpp=b, psnr=p)
-        for n, (b, p) in zip(names, bpp_psnr)
-    ]
-    return RunResult(label=label, sequences=seqs)
-
-
-class TestRdReport:
-    def test_single_run_passthrough(self):
-        run = _run("l0", [(0.25, 33.0), (0.35, 34.0)])
-        rep = rd_report([run])
-        assert len(rep.rows) == 1
-        assert abs(rep.rows[0]["bpp"] - 0.3) < 1e-12
-        assert abs(rep.rows[0]["psnr"] - 33.5) < 1e-12
-        assert rep.bd_rate_percent is None
-
-    def test_rows_sorted_by_bpp_and_monotone_flagged(self):
-        runs = [
-            _run("l3", [(0.8, 38.0), (0.9, 39.0)]),
-            _run("l0", [(0.1, 30.0), (0.2, 31.0)]),
-            _run("l1", [(0.3, 33.0), (0.4, 34.0)]),
-            _run("l2", [(0.5, 36.0), (0.6, 37.0)]),
-        ]
-        rep = rd_report(runs)
-        assert [r["label"] for r in rep.rows] == ["l0", "l1", "l2", "l3"]
-        assert rep.monotone_psnr
-
-    def test_non_monotone_psnr_flagged(self):
-        runs = [
-            _run("a", [(0.1, 35.0), (0.2, 36.0)]),
-            _run("b", [(0.5, 30.0), (0.6, 31.0)]),
-        ]
-        rep = rd_report(runs)
-        assert not rep.monotone_psnr
-
-    def test_baseline_equal_runs_gives_zero_bd(self):
-        runs = [
-            _run("l0", [(0.1, 30.0), (0.2, 31.0)]),
-            _run("l1", [(0.3, 33.0), (0.4, 34.0)]),
-            _run("l2", [(0.5, 36.0), (0.6, 37.0)]),
-            _run("l3", [(0.8, 38.0), (0.9, 39.0)]),
-        ]
-        rep = rd_report(runs, baseline=runs)
-        assert rep.bd_rate_percent is not None
-        assert abs(rep.bd_rate_percent) < 1e-9
-        assert "bd_rate_vs_baseline" in rep.to_csv().splitlines()[0]
-
-    def test_mismatched_sequence_sets_rejected(self):
-        a = _run("a", [(0.1, 30.0), (0.2, 31.0)], names=("x", "y"))
-        b = _run("b", [(0.3, 33.0), (0.4, 34.0)], names=("x", "z"))
-        with pytest.raises(UsageError):
-            rd_report([a, b])
-
-    def test_table_renders_inf(self):
-        run = _run("lossless", [(24.0, math.inf), (24.0, math.inf)])
-        rep = rd_report([run])
-        assert "inf" in rep.to_table()

@@ -5,7 +5,7 @@ import pytest
 
 import bnvc.network as network
 from bnvc.codec import encode_sequence
-from bnvc.errors import UsageError
+from bnvc.errors import ShapeError, UsageError
 from bnvc.model import CodecModel, ModelConfig
 from bnvc.network import Conv, ParamStore, ResBlock, fnv1a64, read_manifest, save_weights
 from bnvc.synth import generate_sequence
@@ -100,6 +100,26 @@ class TestParamStore:
         other.add("y.w", np.zeros((2, 2)))
         with pytest.raises(UsageError):
             other.load(tmp_path / "w.bin", manifest["params"])
+        (tmp_path / "w.bin").write_bytes(bytes(13))  # not a whole number of float32s
+        with pytest.raises(UsageError, match="13 bytes"):
+            store.load(tmp_path / "w.bin", manifest["params"])
+
+    def test_refused_load_leaves_weights_and_hash(self, tmp_path):
+        CodecModel(ModelConfig.toy(), seed=1).save(tmp_path / "w.json")
+        params = read_manifest(tmp_path / "w.json")["params"]
+        params[-1]["shape"] = [1] + params[-1]["shape"]  # same size, wrong shape
+        model = CodecModel(ModelConfig.toy(), seed=0)
+        before = model.store.to_f32_bytes()
+        hash_before = model.prepare_for_coding()
+        with pytest.raises(ShapeError):
+            model.store.load(tmp_path / "w.bin", params)
+        assert model.store.to_f32_bytes() == before
+        assert model.prepare_for_coding() == hash_before == fnv1a64(before)
+
+    def test_manifest_that_is_not_an_object_refused(self, tmp_path):
+        (tmp_path / "w.json").write_text("[1]")
+        with pytest.raises(UsageError, match="not a weights manifest"):
+            read_manifest(tmp_path / "w.json")
 
     def test_load_writes_in_place(self, tmp_path):
         store = ParamStore()

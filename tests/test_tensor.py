@@ -437,7 +437,7 @@ class TestDeterminism:
 class TestGradCheck:
     def test_every_op_passes_over_20_seeds(self):
         for seed in range(20):
-            failed = [r.line() for r in op_checks(seed) if not r.passed]
+            failed = [str(r) for r in op_checks(seed) if not r.passed]
             assert not failed, f"seed={seed}: {failed}"
 
     def test_linear_op_near_zero_error(self):

@@ -112,15 +112,14 @@ class TestTrainToy:
     def test_loss_direction_short_run(self, dataset):
         model = _toy_model(seed=5)
         log = train_toy(model, dataset, TrainingConfig(lambda_index=2, steps=120, seed=9))
-        first = log.window_mean(0, 20)
-        last = log.window_mean(100, 120)
-        assert last < first
+        losses = [e["loss"] for e in log.entries]
+        assert np.mean(losses[100:120]) < np.mean(losses[0:20])
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_aborts_with_step_index(self, dataset):
         model = _toy_model(seed=6)
         with pytest.raises(TrainingDiverged) as exc:
-            train_toy(model, dataset, TrainingConfig(steps=50, seed=1, lr=1e9, clip_norm=0.0))
+            train_toy(model, dataset, TrainingConfig(steps=50, seed=1, lr=1e9))
         assert exc.value.step >= 0
 
     def test_short_sequences_rejected(self):
