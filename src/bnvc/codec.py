@@ -201,9 +201,11 @@ def inter_step(
 
     `x` holds the frame's uint8 pixels, or None when decoding: then
     neither motion search nor the analysis transforms run, and the
-    bottleneck supplies every latent. Returns (x_hat, feature, v_hat):
-    the float reconstruction, the feature stored for later references,
-    and the decoded flow to the newest reference.
+    bottleneck supplies every latent. Motion search matches `x` against
+    the newest reference's stored uint8 pixels in integer SAD. Returns
+    (x_hat, feature, v_hat): the float reconstruction, the feature
+    stored for later references, and the decoded flow to the newest
+    reference.
     """
     if not refs:
         raise UsageError("an inter frame needs at least one decoded reference")
@@ -215,7 +217,7 @@ def inter_step(
             raise UsageError(f"frame size {x.shape[1]}x{x.shape[2]} does not match references {h}x{w}")
         x_t = pixels_to_tensor(x)
         block = 8 if (h % 8 == 0 and w % 8 == 0) else 4
-        flow = estimate_motion(x_t.data, pixels_to_tensor(refs[-1].pixels).data, block=block)
+        flow = estimate_motion(x, refs[-1].pixels, block=block)
         y_v = model.mv_analyze(Tensor(flow))
         z_v = model.mv_hyper_analyze(y_v)
     z_v_hat = bottleneck.hyper(model, "mv", z_v, (model.config.mv_hyper, *zhw))

@@ -197,6 +197,23 @@ class TestMotionCoding:
         assert len(coder.payloads[0]) >= 6 and len(coder.payloads[1]) >= 6
         assert np.all(np.isfinite(v_hat.data))
 
+    def test_exact_sad_tie_takes_smaller_displacement(self, monkeypatch):
+        """In synth seed 242, frame 2 against frame 1, the block at rows 16-23,
+        cols 0-7 matches (dy, dx) = (0, 0) and (-1, 0) at the same integer
+        SAD. A search summing k/255 floats picked (-1, 0) by rounding; the
+        documented rule picks the smaller displacement."""
+        frames = generate_sequence(32, 32, 3, seed=242)
+        ref, cur = frames[1].astype(np.int64), frames[2].astype(np.int64)
+        block = cur[:, 16:24, 0:8]
+        assert np.abs(block - ref[:, 16:24, 0:8]).sum() == np.abs(block - ref[:, 15:23, 0:8]).sum()
+        model = _model()
+        model.prepare_for_coding()
+        real, flows = codec.estimate_motion, []
+        monkeypatch.setattr(codec, "estimate_motion", lambda *a, **kw: flows.append(real(*a, **kw)) or flows[-1])
+        encode_frame(frames[2], 1, [intra_frame(model, frames[1], 0)], model, NEAR)
+        assert len(flows) == 1
+        np.testing.assert_array_equal(flows[0][:, 16:24, 0:8], 0.0)
+
     def test_rate_within_bound_of_estimate(self):
         model = _model()
         model.prepare_for_coding()

@@ -1,8 +1,8 @@
 """Tests for block matching and flow composition.
 
 The block-matching oracle is a straight per-block, per-candidate Python
-loop with the same candidate order and tie rules; the composition
-oracle samples and adds pointwise.
+loop over exact integer SADs, with the same candidate order and tie
+rules; the composition oracle samples and adds pointwise.
 """
 
 import numpy as np
@@ -13,30 +13,39 @@ from bnvc.motion import compose_flows, estimate_motion
 from bnvc.tensor import Tensor
 
 
+def _pixels(rng, shape):
+    return rng.integers(0, 256, size=shape, dtype=np.uint8)
+
+
 def _block_match_oracle(cur, ref, block, r):
+    cur, ref = cur.astype(np.int64), ref.astype(np.int64)
     c, h, w = cur.shape
     nby, nbx = h // block, w // block
     out = np.zeros((nby, nbx, 2))
     for by in range(nby):
         for bx in range(nbx):
             y0, x0 = by * block, bx * block
-            best = (np.inf, np.inf, 0, 0)  # sad, mag, dy, dx
+            best = None  # (sad, mag), dy, dx
             for dy in range(-r, r + 1):
                 for dx in range(-r, r + 1):
                     ry, rx = y0 + dy, x0 + dx
                     if ry < 0 or rx < 0 or ry + block > h or rx + block > w:
                         continue
-                    sad = float(
+                    sad = int(
                         np.abs(
                             cur[:, y0 : y0 + block, x0 : x0 + block]
                             - ref[:, ry : ry + block, rx : rx + block]
                         ).sum()
                     )
-                    mag = dy * dy + dx * dx
-                    if sad < best[0] or (sad == best[0] and mag < best[1]):
-                        best = (sad, mag, dy, dx)
-            out[by, bx] = (best[3], best[2])  # dx, dy
+                    key = (sad, dy * dy + dx * dx)
+                    if best is None or key < best[0]:  # strict: the earlier raster candidate keeps a full tie
+                        best = (key, dy, dx)
+            out[by, bx] = (best[2], best[1])  # dx, dy
     return out
+
+
+def _block_flows(flow, block):
+    return np.stack([flow[0, ::block, ::block], flow[1, ::block, ::block]], axis=-1)
 
 
 def _compose_oracle(outer, inner):
@@ -62,16 +71,15 @@ def _compose_oracle(outer, inner):
 
 class TestEstimateMotion:
     def test_identical_frames_zero_field(self):
-        rng = np.random.default_rng(0)
-        frame = rng.uniform(0, 1, size=(3, 32, 32))
+        frame = _pixels(np.random.default_rng(0), (3, 32, 32))
         flow = estimate_motion(frame, frame)
         np.testing.assert_array_equal(flow, np.zeros((2, 32, 32)))
+        assert flow.dtype == np.float64
 
     def test_rightward_content_motion(self):
         # content moves right by 2 px between reference and current, so
         # the backward flow points left: (-2, 0)
-        rng = np.random.default_rng(1)
-        ref = rng.uniform(0, 1, size=(3, 32, 32))
+        ref = _pixels(np.random.default_rng(1), (3, 32, 32))
         cur = np.roll(ref, 2, axis=2)
         flow = estimate_motion(cur, ref)
         interior = flow[:, :, 8:24]
@@ -79,16 +87,14 @@ class TestEstimateMotion:
         np.testing.assert_array_equal(interior[1], 0.0)
 
     def test_vertical_motion(self):
-        rng = np.random.default_rng(2)
-        ref = rng.uniform(0, 1, size=(1, 24, 24))
+        ref = _pixels(np.random.default_rng(2), (1, 24, 24))
         cur = np.roll(ref, -3, axis=1)  # content moves up; backward flow points down
         flow = estimate_motion(cur, ref)
         np.testing.assert_array_equal(flow[1][8:16], 3.0)
 
     def test_noise_pair_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(3)
-        cur = rng.uniform(0, 1, size=(2, 16, 16))
-        ref = rng.uniform(0, 1, size=(2, 16, 16))
+        cur, ref = _pixels(rng, (2, 16, 16)), _pixels(rng, (2, 16, 16))
         flow = estimate_motion(cur, ref, block=8)
         oracle = _block_match_oracle(cur, ref, 8, 4)
         for by in range(2):
@@ -99,25 +105,66 @@ class TestEstimateMotion:
     def test_oracle_agreement_multiple_seeds(self):
         for seed in range(6):
             rng = np.random.default_rng(seed + 50)
-            cur = rng.uniform(0, 1, size=(1, 16, 24))
-            ref = rng.uniform(0, 1, size=(1, 16, 24))
+            cur, ref = _pixels(rng, (1, 16, 24)), _pixels(rng, (1, 16, 24))
             flow = estimate_motion(cur, ref, block=8)
-            oracle = _block_match_oracle(cur, ref, 8, 4)
-            got = np.stack([flow[0, ::8, ::8], flow[1, ::8, ::8]], axis=-1)
-            np.testing.assert_array_equal(got, oracle)
+            np.testing.assert_array_equal(_block_flows(flow, 8), _block_match_oracle(cur, ref, 8, 4))
+
+    def test_block_4_matches_oracle(self):
+        for seed in range(3):
+            rng = np.random.default_rng(seed + 70)
+            ref = _pixels(rng, (3, 16, 20))
+            cur = np.roll(ref, (seed - 1, 2 - seed), axis=(1, 2))
+            cur[:, :4] = _pixels(rng, (3, 4, 20))  # one noisy block row
+            flow = estimate_motion(cur, ref, block=4)
+            np.testing.assert_array_equal(_block_flows(flow, 4), _block_match_oracle(cur, ref, 4, 4))
+
+    def test_windows_leaving_the_frame_are_excluded(self):
+        # zero blocks on the border would match the outside of a zero-padded
+        # reference best; every in-frame candidate costs more
+        for block in (4, 8):
+            rng = np.random.default_rng(block)
+            ref = rng.integers(1, 256, size=(3, 16, 24), dtype=np.uint8)
+            cur = ref.copy()
+            cur[:, :block, :block] = 0
+            cur[:, -block:, -block:] = 0
+            flow = estimate_motion(cur, ref, block=block)
+            got = _block_flows(flow, block)
+            np.testing.assert_array_equal(got, _block_match_oracle(cur, ref, block, 4))
+            ys, xs = np.mgrid[0:16:block, 0:24:block]
+            assert np.all((ys + got[..., 1] >= 0) & (ys + got[..., 1] + block <= 16))
+            assert np.all((xs + got[..., 0] >= 0) & (xs + got[..., 0] + block <= 24))
+
+    def test_exact_ties_take_smaller_then_earlier_displacement(self):
+        # columns alternate two values and rows repeat, so every odd dx and
+        # every dy matches exactly: dy = 0 wins, then dx = -1 (earlier in
+        # raster order) where it stays in the frame, else dx = +1
+        ref = np.zeros((3, 16, 32), dtype=np.uint8)
+        ref[:, :, 1::2] = 200
+        cur = np.roll(ref, -1, axis=2)
+        flow = estimate_motion(cur, ref)
+        np.testing.assert_array_equal(flow[1], 0.0)
+        np.testing.assert_array_equal(flow[0][:, :8], 1.0)
+        np.testing.assert_array_equal(flow[0][:, 8:], -1.0)
 
     def test_field_is_blockwise_constant(self):
         rng = np.random.default_rng(9)
-        flow = estimate_motion(rng.uniform(size=(1, 32, 32)), rng.uniform(size=(1, 32, 32)))
+        flow = estimate_motion(_pixels(rng, (1, 32, 32)), _pixels(rng, (1, 32, 32)))
         for ch in range(2):
             blocks = flow[ch].reshape(4, 8, 4, 8)
             assert np.all(blocks == blocks[:, :1, :, :1])
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            estimate_motion(np.zeros((1, 32, 32)), np.zeros((1, 32, 24)))
+            estimate_motion(np.zeros((1, 32, 32), np.uint8), np.zeros((1, 32, 24), np.uint8))
         with pytest.raises(UsageError):
-            estimate_motion(np.zeros((1, 30, 32)), np.zeros((1, 30, 32)))
+            estimate_motion(np.zeros((1, 30, 32), np.uint8), np.zeros((1, 30, 32), np.uint8))
+
+    def test_float_frames_rejected(self):
+        frame = np.zeros((3, 16, 16), np.uint8)
+        with pytest.raises(UsageError):
+            estimate_motion(frame / 255.0, frame / 255.0)
+        with pytest.raises(UsageError):
+            estimate_motion(frame, frame.astype(np.float32))
 
 
 class TestComposeFlows:

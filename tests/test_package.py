@@ -1,7 +1,9 @@
-"""Every bnvc module imports, and every name in its __all__ resolves."""
+"""Every bnvc module imports, every name in its __all__ resolves, and
+every bnvc callable that the benchmark's tracer hooks exists."""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +21,12 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names {missing}, which the module does not define"
+
+
+def test_traced_hooks_resolve(monkeypatch):
+    """A renamed or removed hook target fails here, instead of silently
+    dropping its layer's metrics from traced benchmark runs."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    tracing = importlib.import_module("codecbench.tracing")
+    missing = [f"{layer}: {module}.{path}" for layer, module, path in tracing.HOOKS if tracing._resolve(module, path) is None]
+    assert not missing, f"traced hooks name targets that do not exist: {missing}"

@@ -134,21 +134,29 @@ class TestTrainToy:
 
 class TestRolloutParity:
     def test_motion_searched_against_stored_uint8_reference(self, dataset, monkeypatch):
-        """Training searches motion against the rounded reference the codec stores."""
-        refs = []
+        """Training searches motion on the uint8 pixels the codec stores: each
+        rollout frame against the newest stored Frame's pixels."""
+        searched, stored = [], []
+        real_search, real_step = codec.estimate_motion, training.inter_step
 
-        def spy(real):
-            return lambda cur, ref, **kw: refs.append(np.array(ref)) or real(cur, ref, **kw)
+        def search(cur, ref, **kw):
+            searched.append((np.array(cur), np.array(ref)))
+            return real_search(cur, ref, **kw)
 
-        for mod in (codec, training):
-            if hasattr(mod, "estimate_motion"):
-                monkeypatch.setattr(mod, "estimate_motion", spy(mod.estimate_motion))
-        model = _toy_model(seed=2)
-        rollout_loss(model, dataset[0][:4], np.random.default_rng(0), 1024.0, DuplicationPolicy.NEAR)
-        assert len(refs) == 3
-        for ref in refs:
-            assert ref.min() >= 0.0 and ref.max() <= 1.0
-            np.testing.assert_array_equal(np.rint(ref * 255.0) / 255.0, ref)
+        def step(model, x, refs, policy, bottleneck):
+            stored.append(np.array(refs[-1].pixels))
+            return real_step(model, x, refs, policy, bottleneck)
+
+        monkeypatch.setattr(codec, "estimate_motion", search)
+        monkeypatch.setattr(training, "inter_step", step)
+        window = dataset[0][:4]
+        rollout_loss(_toy_model(seed=2), window, np.random.default_rng(0), 1024.0, DuplicationPolicy.NEAR)
+        assert len(searched) == len(stored) == 3
+        np.testing.assert_array_equal(stored[0], window[0])
+        for t, ((cur, ref), pixels) in enumerate(zip(searched, stored), start=1):
+            assert cur.dtype == ref.dtype == np.uint8
+            np.testing.assert_array_equal(cur, window[t])
+            np.testing.assert_array_equal(ref, pixels)
 
 
 class TestTrainingMemory:
