@@ -201,11 +201,10 @@ def inter_step(
 
     `x` holds the frame's uint8 pixels, or None when decoding: then
     neither motion search nor the analysis transforms run, and the
-    bottleneck supplies every latent. Motion search matches `x` against
-    the newest reference's stored uint8 pixels in integer SAD. Returns
-    (x_hat, feature, v_hat): the float reconstruction, the feature
-    stored for later references, and the decoded flow to the newest
-    reference.
+    bottleneck supplies every latent. Motion search compares the uint8
+    `x` with the newest reference's stored pixels. Returns (x_hat,
+    feature, v_hat): the float reconstruction, the feature stored for
+    later references, and the decoded flow to the newest reference.
     """
     if not refs:
         raise UsageError("an inter frame needs at least one decoded reference")

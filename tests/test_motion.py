@@ -44,6 +44,27 @@ def _block_match_oracle(cur, ref, block, r):
     return out
 
 
+def _oracle_inputs():
+    """(cur, ref, block) triples for the oracle test."""
+    for seed in range(6):
+        rng = np.random.default_rng(seed + 50)
+        yield _pixels(rng, (1, 16, 24)), _pixels(rng, (1, 16, 24)), 8
+    for seed in range(3):  # block 4: shifted content under one noisy block row
+        rng = np.random.default_rng(seed + 70)
+        ref = _pixels(rng, (3, 16, 20))
+        cur = np.roll(ref, (seed - 1, 2 - seed), axis=(1, 2))
+        cur[:, :4] = _pixels(rng, (3, 4, 20))
+        yield cur, ref, 4
+    for block in (4, 8):
+        # zero corner blocks against a reference with no zeros: windows that
+        # leave the frame would match them best if they were not excluded
+        ref = np.random.default_rng(block).integers(1, 256, size=(3, 16, 24), dtype=np.uint8)
+        cur = ref.copy()
+        cur[:, :block, :block] = 0
+        cur[:, -block:, -block:] = 0
+        yield cur, ref, block
+
+
 def _block_flows(flow, block):
     return np.stack([flow[0, ::block, ::block], flow[1, ::block, ::block]], axis=-1)
 
@@ -103,36 +124,9 @@ class TestEstimateMotion:
                 assert flow[1, by * 8, bx * 8] == oracle[by, bx, 1]
 
     def test_oracle_agreement_multiple_seeds(self):
-        for seed in range(6):
-            rng = np.random.default_rng(seed + 50)
-            cur, ref = _pixels(rng, (1, 16, 24)), _pixels(rng, (1, 16, 24))
-            flow = estimate_motion(cur, ref, block=8)
-            np.testing.assert_array_equal(_block_flows(flow, 8), _block_match_oracle(cur, ref, 8, 4))
-
-    def test_block_4_matches_oracle(self):
-        for seed in range(3):
-            rng = np.random.default_rng(seed + 70)
-            ref = _pixels(rng, (3, 16, 20))
-            cur = np.roll(ref, (seed - 1, 2 - seed), axis=(1, 2))
-            cur[:, :4] = _pixels(rng, (3, 4, 20))  # one noisy block row
-            flow = estimate_motion(cur, ref, block=4)
-            np.testing.assert_array_equal(_block_flows(flow, 4), _block_match_oracle(cur, ref, 4, 4))
-
-    def test_windows_leaving_the_frame_are_excluded(self):
-        # zero blocks on the border would match the outside of a zero-padded
-        # reference best; every in-frame candidate costs more
-        for block in (4, 8):
-            rng = np.random.default_rng(block)
-            ref = rng.integers(1, 256, size=(3, 16, 24), dtype=np.uint8)
-            cur = ref.copy()
-            cur[:, :block, :block] = 0
-            cur[:, -block:, -block:] = 0
+        for cur, ref, block in _oracle_inputs():
             flow = estimate_motion(cur, ref, block=block)
-            got = _block_flows(flow, block)
-            np.testing.assert_array_equal(got, _block_match_oracle(cur, ref, block, 4))
-            ys, xs = np.mgrid[0:16:block, 0:24:block]
-            assert np.all((ys + got[..., 1] >= 0) & (ys + got[..., 1] + block <= 16))
-            assert np.all((xs + got[..., 0] >= 0) & (xs + got[..., 0] + block <= 24))
+            np.testing.assert_array_equal(_block_flows(flow, block), _block_match_oracle(cur, ref, block, 4))
 
     def test_exact_ties_take_smaller_then_earlier_displacement(self):
         # columns alternate two values and rows repeat, so every odd dx and
