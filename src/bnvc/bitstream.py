@@ -8,17 +8,17 @@ Layout (all integers little-endian):
             lambda_index u8, weights_hash u64
     records, until end of stream:
       intra: type u8 = 0, crc u32, raw planar RGB (3*H*W bytes)
-      inter: type u8 = 1, crc u32, four u32-length-prefixed payloads in
-             order (mv hyper, mv main, ctx hyper, ctx main)
+      inter: type u8 = 1, crc u32, length u32, one range-coded payload
+             of that many bytes
 
 The crc field is CRC-32 (zlib) of the record body after the crc itself;
 it exists so that any single corrupted payload byte is detected before
 entropy decoding rather than silently decoding into garbage symbols.
 
-Version 2 payloads are coded with table-indexed CDFs: main latents
-against the shared scale-indexed Gaussian tables, hyper latents against
-one prior table per channel (see `entropy`). A stream of any other
-version is rejected as corrupt.
+Version 3 range-codes the four latents of an inter frame (mv hyper, mv
+main, ctx hyper, ctx main) in one payload, with one flush (see `entropy`
+and `codec`); version 2 gave each its own length-prefixed payload. A
+stream of any other version is rejected as corrupt.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 from .errors import CorruptStreamError
 
-__all__ = ["MAGIC", "VERSION", "StreamHeader", "FrameChunk", "BitstreamWriter", "BitstreamReader"]
+__all__ = ["MAGIC", "VERSION", "StreamHeader", "BitstreamWriter", "BitstreamReader"]
 
 MAGIC = b"BNVC"
-VERSION = 2
+VERSION = 3
 
 _HEADER_FMT = "<4sBHHBBBHBQ"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
@@ -79,43 +79,19 @@ class StreamHeader:
         return cls(w, h, n_ref, policy, fusion, period, lam, whash)
 
 
-@dataclass(frozen=True)
-class FrameChunk:
-    """The four coded payloads of one inter frame."""
-
-    mv_hyper: bytes
-    mv_main: bytes
-    ctx_hyper: bytes
-    ctx_main: bytes
-
-    def payloads(self) -> tuple[bytes, bytes, bytes, bytes]:
-        return (self.mv_hyper, self.mv_main, self.ctx_hyper, self.ctx_main)
-
-    def body(self) -> bytes:
-        out = bytearray()
-        for p in self.payloads():
-            out += struct.pack("<I", len(p))
-            out += p
-        return bytes(out)
-
-    def total_bytes(self) -> int:
-        return len(self.body()) + 5  # type byte + crc
-
-
 class BitstreamWriter:
     def __init__(self, header: StreamHeader):
         self._buf = bytearray(header.pack())
         self.frame_bits: list[int] = []
 
     def add_intra(self, raw_planar: bytes) -> None:
-        body = bytes(raw_planar)
-        rec = struct.pack("<BI", FRAME_TYPE_INTRA, zlib.crc32(body)) + body
-        self._buf += rec
-        self.frame_bits.append(8 * len(rec))
+        self._add(FRAME_TYPE_INTRA, bytes(raw_planar))
 
-    def add_inter(self, chunk: FrameChunk) -> None:
-        body = chunk.body()
-        rec = struct.pack("<BI", FRAME_TYPE_INTER, zlib.crc32(body)) + body
+    def add_inter(self, payload: bytes) -> None:
+        self._add(FRAME_TYPE_INTER, struct.pack("<I", len(payload)) + payload)
+
+    def _add(self, ftype: int, body: bytes) -> None:
+        rec = struct.pack("<BI", ftype, zlib.crc32(body)) + body
         self._buf += rec
         self.frame_bits.append(8 * len(rec))
 
@@ -139,22 +115,17 @@ class BitstreamReader:
     def at_end(self) -> bool:
         return self.pos >= len(self.data)
 
-    def next_record(self) -> tuple[int, bytes | FrameChunk]:
-        """(frame_type, raw bytes or FrameChunk), CRC verified."""
+    def next_record(self) -> tuple[int, bytes]:
+        """(frame_type, raw planar pixels or inter payload), CRC verified."""
         ftype, crc = struct.unpack("<BI", self._take(5))
+        start = self.pos
         if ftype == FRAME_TYPE_INTRA:
-            body = self._take(3 * self.header.width * self.header.height)
-            if zlib.crc32(body) != crc:
-                raise CorruptStreamError("intra record failed its CRC check")
-            return ftype, body
-        if ftype == FRAME_TYPE_INTER:
-            start = self.pos
-            payloads = []
-            for _ in range(4):
-                (length,) = struct.unpack("<I", self._take(4))
-                payloads.append(self._take(length))
-            body = self.data[start : self.pos]
-            if zlib.crc32(body) != crc:
-                raise CorruptStreamError("inter record failed its CRC check")
-            return ftype, FrameChunk(*payloads)
-        raise CorruptStreamError(f"unknown frame record type {ftype}")
+            size = 3 * self.header.width * self.header.height
+        elif ftype == FRAME_TYPE_INTER:
+            (size,) = struct.unpack("<I", self._take(4))
+        else:
+            raise CorruptStreamError(f"unknown frame record type {ftype}")
+        body = self._take(size)
+        if zlib.crc32(self.data[start : self.pos]) != crc:
+            raise CorruptStreamError(f"{('intra', 'inter')[ftype]} record failed its CRC check")
+        return ftype, body

@@ -9,8 +9,9 @@ autoencoder conditioned on it, and the frame generator, which emits
 the reconstruction plus the feature stored for future references. At
 its four latent points (mv-hyper, mv-main, ctx-hyper, ctx-main, in
 that order) a bottleneck decides what happens: `Noise` adds uniform
-noise and sums the differentiable rate (training), `Encode` rounds and
-range-codes the symbols, `Decode` reads them back. The encoder thus
+noise and sums the differentiable rate (training), `Encode` rounds the
+symbols and range-codes all four latents into one payload, `Decode`
+reads them back from it in the same order. The encoder thus
 reconstructs through exactly the float operations the decoder runs, so
 both sides hold bit-identical pixels, features and flows at every time
 step (drift-free by construction, asserted by tests).
@@ -29,10 +30,9 @@ from .bitstream import (
     FRAME_TYPE_INTRA,
     BitstreamReader,
     BitstreamWriter,
-    FrameChunk,
     StreamHeader,
 )
-from .entropy import TableSet, build_logistic_cdf_rows, gaussian_tables, range_decode, range_encode
+from .entropy import DecoderState, TableSet, build_logistic_cdf_rows, gaussian_tables, range_decode, range_encode
 from .errors import CorruptStreamError, UsageError
 from .fusion import FusionMode
 from .metrics import psnr
@@ -155,15 +155,18 @@ def _prior_tables(model: CodecModel, which: str, shape) -> TableSet:
 
 
 class Encode:
-    """Coding: round and range-code each latent; `payloads` collects them."""
+    """Coding: round each latent into its tables' supports; `payload` range-codes them all."""
 
     def __init__(self) -> None:
-        self.payloads: list[bytes] = []
+        self.symbols: list[np.ndarray] = []
+        self.tables: list = []  # every latent's tables, joined
+        self.index: list[np.ndarray] = []  # each latent's table indices into the joined list
 
     def _code(self, values: np.ndarray, tables: TableSet) -> np.ndarray:
-        """Round `values` into their tables' supports and range-code them."""
         sym = np.clip(np.rint(values.ravel()), *tables.symbol_bounds()).astype(np.int64)
-        self.payloads.append(range_encode(sym, tables))
+        self.symbols.append(sym)
+        self.index.append(tables.index + len(self.tables))
+        self.tables += tables.tables
         return sym.astype(np.float64)
 
     def hyper(self, model: CodecModel, which: str, z: Tensor, shape) -> Tensor:
@@ -173,15 +176,19 @@ class Encode:
         sym = self._code(y.data - mean.data, gaussian_tables(scale.data))
         return Tensor(sym.reshape(mean.shape) + mean.data)
 
+    def payload(self) -> bytes:
+        """Every latent so far, in order, in one range-coder stream."""
+        return range_encode(np.concatenate(self.symbols), TableSet(self.tables, np.concatenate(self.index)))
+
 
 class Decode:
-    """Decoding: read each latent's symbols back from the frame's payloads."""
+    """Decoding: read each latent's symbols back from the frame's payload, in order."""
 
-    def __init__(self, chunk: FrameChunk):
-        self._payloads = iter(chunk.payloads())
+    def __init__(self, payload: bytes):
+        self.payload, self.state = payload, DecoderState()
 
     def _read(self, tables: TableSet) -> np.ndarray:
-        return np.asarray(range_decode(next(self._payloads), tables), dtype=np.float64)
+        return np.asarray(range_decode(self.payload, tables, self.state), dtype=np.float64)
 
     def hyper(self, model: CodecModel, which: str, z: None, shape) -> Tensor:
         return Tensor(self._read(_prior_tables(model, which, shape)).reshape(shape))
@@ -242,27 +249,31 @@ def encode_frame(
     dpb: Sequence[Frame],
     model: CodecModel,
     policy: DuplicationPolicy,
-) -> tuple[FrameChunk, Frame]:
-    """Code one inter frame against the decoded frames `dpb`."""
+) -> tuple[bytes, Frame]:
+    """Code one inter frame against the decoded frames `dpb`; returns (payload, recon)."""
     coder = Encode()
     with no_grad():
         x_hat, feature, v_hat = inter_step(model, pixels, list(dpb), policy, coder)
-    return FrameChunk(*coder.payloads), Frame(to_uint8(x_hat.data), index, feature=feature, flow=v_hat)
+    return coder.payload(), Frame(to_uint8(x_hat.data), index, feature=feature, flow=v_hat)
 
 
 def decode_frame(
-    chunk: FrameChunk,
+    payload: bytes,
     index: int,
     dpb: Sequence[Frame],
     model: CodecModel,
     policy: DuplicationPolicy,
     frame_hw: tuple[int, int],
 ) -> Frame:
-    """Mirror of encode_frame; requires the encoder's decoded frames."""
+    """Mirror of encode_frame; requires the encoder's decoded frames, and
+    a payload that ends exactly where its last symbol does."""
     if dpb and dpb[-1].hw != tuple(frame_hw):
         raise UsageError(f"frame size {frame_hw} does not match references {dpb[-1].hw}")
+    coder = Decode(payload)
     with no_grad():
-        x_hat, feature, v_hat = inter_step(model, None, list(dpb), policy, Decode(chunk))
+        x_hat, feature, v_hat = inter_step(model, None, list(dpb), policy, coder)
+    if coder.state.pos != len(payload):
+        raise CorruptStreamError(f"inter payload holds {len(payload) - coder.state.pos} bytes past its last symbol")
     return Frame(to_uint8(x_hat.data), index, feature=feature, flow=v_hat)
 
 
@@ -332,8 +343,8 @@ def encode_sequence(
             frame = intra_frame(model, frames[i], i)
             types.append("I")
         else:
-            chunk, frame = encode_frame(frames[i], i, dpb, model, policy)
-            writer.add_inter(chunk)
+            payload, frame = encode_frame(frames[i], i, dpb, model, policy)
+            writer.add_inter(payload)
             types.append("P")
         dpb.append(frame)
         recons[i] = frame.pixels

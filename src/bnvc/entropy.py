@@ -28,6 +28,10 @@ division is below 2^-16 relative and a 10^5 symbol chunk stays within a
 few tenths of a bit of the table rate; the flush is exactly six bytes.
 All coder arithmetic is on Python integers, so payloads are identical
 across platforms.
+
+One payload may code several TableSets joined: one `DecoderState` carries
+the decoder across them, one `range_decode` call each. It reads one byte
+per byte the encoder wrote, so it ends exactly on the payload's last byte.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ __all__ = [
     "gaussian_tables",
     "row_support_bounds",
     "range_encode",
+    "DecoderState",
     "range_decode",
     "GaussianModel",
     "LogisticModel",
@@ -255,15 +260,26 @@ def range_encode(symbols, tables: TableSet) -> bytes:
     return bytes(out)
 
 
-def range_decode(payload: bytes, tables: TableSet) -> list[int]:
-    """Decode one symbol per table index; the tables must match the encoder's exactly."""
-    if len(payload) < _FLUSH_BYTES:
-        raise CorruptStreamError(f"payload shorter than the {_FLUSH_BYTES}-byte flush")
+class DecoderState:
+    """Where a range decoder stands in one payload: code, range and next byte (0: not started)."""
+
+    code = rng = pos = 0
+
+
+def range_decode(payload: bytes, tables: TableSet, state: DecoderState | None = None) -> list[int]:
+    """Decode one symbol per table index from where `state` stands, and leave it at the
+    next TableSet of the same payload. The tables must match the encoder's exactly."""
+    if state is None:
+        state = DecoderState()
+    code, rng, pos = state.code, state.rng, state.pos
+    if not pos:
+        if len(payload) < _FLUSH_BYTES:
+            raise CorruptStreamError(f"payload shorter than the {_FLUSH_BYTES}-byte flush")
+        # byte 0 is the encoder's leading zero byte
+        code, rng, pos = int.from_bytes(payload[1:_FLUSH_BYTES], "big"), _RANGE_TOP - 1, _FLUSH_BYTES
     cums = [t.cum.tolist() for t in tables.tables]
     s_mins = tables.s_min.tolist()
     end = len(payload)
-    # byte 0 is the encoder's leading zero byte
-    code, pos, rng = int.from_bytes(payload[1:_FLUSH_BYTES], "big"), _FLUSH_BYTES, _RANGE_TOP - 1
     out = []
     for t in tables.index.tolist():
         cum = cums[t]
@@ -285,6 +301,7 @@ def range_decode(payload: bytes, tables: TableSet) -> list[int]:
             pos += 1
             rng <<= 8
         out.append(s_mins[t] + k)
+    state.code, state.rng, state.pos = code, rng, pos
     return out
 
 

@@ -8,7 +8,6 @@ from bnvc.bitstream import (
     FRAME_TYPE_INTRA,
     BitstreamReader,
     BitstreamWriter,
-    FrameChunk,
     StreamHeader,
 )
 from bnvc.errors import CorruptStreamError
@@ -58,31 +57,29 @@ class TestRecords:
         writer = BitstreamWriter(h)
         raw = bytes(range(24))  # 3 * 2 * 4
         writer.add_intra(raw)
-        chunk = FrameChunk(b"\x01\x02", b"", b"abcdef", b"\xff" * 9)
-        writer.add_inter(chunk)
+        payload = b"\x01\x02abcdef" + b"\xff" * 9
+        writer.add_inter(payload)
         reader = BitstreamReader(writer.getvalue())
         t0, body0 = reader.next_record()
         assert t0 == FRAME_TYPE_INTRA and body0 == raw
         t1, body1 = reader.next_record()
-        assert t1 == FRAME_TYPE_INTER and body1 == chunk
+        assert t1 == FRAME_TYPE_INTER and body1 == payload
         assert reader.at_end()
 
     def test_frame_bits_accounting(self):
         h = _header(width=4, height=2)
         writer = BitstreamWriter(h)
         writer.add_intra(bytes(24))
-        chunk = FrameChunk(b"123456", b"123456", b"123456", b"123456")
-        writer.add_inter(chunk)
+        writer.add_inter(b"123456")
         total = len(writer.getvalue())
         assert total == 23 + sum(writer.frame_bits) // 8
         assert writer.frame_bits[0] == 8 * (5 + 24)
-        assert writer.frame_bits[1] == 8 * (5 + 4 * (4 + 6))
-        assert chunk.total_bytes() == 5 + 4 * (4 + 6)
+        assert writer.frame_bits[1] == 8 * (5 + 4 + 6)
 
     def test_crc_catches_every_single_byte_flip(self):
         h = _header(width=4, height=2)
         writer = BitstreamWriter(h)
-        writer.add_inter(FrameChunk(b"\x00\x01\x02", b"\x03\x04", b"", b"\x05\x06\x07\x08"))
+        writer.add_inter(b"\x00\x01\x02\x03\x04\x05\x06\x07\x08")
         data = writer.getvalue()
         body_start = 23 + 5
         for pos in range(body_start, len(data)):

@@ -1,12 +1,18 @@
-"""Cross-kernel conformance: a stream encoded under one OpenBLAS core
-must be byte-identical to the same encode under another, and decode to
+"""Cross-kernel conformance: a stream encoded under other float kernels
+must be byte-identical to the same encode in this process, and decode to
 the same pictures.
 
-The child process forces the Sandybridge kernels on one thread; this
-process keeps the library's default core. Each case in CASES is
-encoded on both sides. Both sides read back their core with the
-benchmark's own probe: if the library ignores the request, or this host
-already runs that core, the test skips instead of passing vacuously.
+Each test runs one child process under other kernels and encodes each
+case in CASES there and here:
+
+* the OpenBLAS test forces the Sandybridge kernels on one thread;
+* the numpy test switches off numpy's AVX512 dispatch, which picks the
+  `exp` and `log` kernels.
+
+Each child reports what it ran, through the benchmark's own BLAS probe
+and a hash of `np.exp` over a fixed grid. If the request was ignored, or
+this host already runs those kernels, the test skips instead of passing
+vacuously.
 """
 
 import hashlib
@@ -24,8 +30,15 @@ from bnvc.model import CodecModel
 
 ROOT = Path(__file__).resolve().parents[1]
 CORE = "Sandybridge"
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 
-PROBE = "import json; from codecbench.run import _blas_info; print(json.dumps(_blas_info()))"
+PROBE = """
+import hashlib, json
+import numpy as np
+from codecbench.run import _blas_info
+exp = hashlib.sha256(np.exp(np.linspace(-20.0, 20.0, 200_000)).tobytes()).hexdigest()
+print(json.dumps({**_blas_info(), "exp": exp}))
+"""
 
 # mosaic_sequence(size, tile, n_frames, seed=0) inputs; the 128x128 case is
 # the long128 frame size, where a float32 coding path drifted across cores
@@ -37,7 +50,6 @@ from pathlib import Path
 import numpy as np
 from bnvc.codec import encode_sequence
 from bnvc.model import CodecModel
-from codecbench.run import _blas_info
 from codecbench.workloads import mosaic_sequence
 
 out = Path(sys.argv[1])
@@ -46,8 +58,7 @@ for size, tile, n_frames in json.loads(sys.argv[2]):
     stream, _, _ = encode_sequence(frames, CodecModel(seed=0))
     np.save(out / f"frames{size}.npy", frames)
     (out / f"stream{size}.bin").write_bytes(stream)
-print(json.dumps(_blas_info()))
-"""
+""" + PROBE
 
 
 def _run_child(args, **overrides) -> dict:
@@ -60,14 +71,8 @@ def _run_child(args, **overrides) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def test_stream_identical_across_blas_cores(tmp_path):
-    default = _run_child([PROBE])  # same environment as this process
-    forced = _run_child([CHILD, str(tmp_path), json.dumps(CASES)], OPENBLAS_CORETYPE=CORE, OPENBLAS_NUM_THREADS="1")
-    if forced.get("coretype", "").lower() != CORE.lower():
-        pytest.skip(f"OpenBLAS did not switch to {CORE}: child reports {forced}")
-    if default.get("coretype", "").lower() == CORE.lower():
-        pytest.skip(f"this process already runs the {CORE} core: {default}")
-
+def _assert_child_streams_match(tmp_path):
+    """Each case's child stream equals this process's encode and decodes to its recons."""
     model = CodecModel(seed=0)
     for size, _, _ in CASES:
         frames = np.load(tmp_path / f"frames{size}.npy")
@@ -76,3 +81,21 @@ def test_stream_identical_across_blas_cores(tmp_path):
         assert hashlib.sha256(child_stream).hexdigest() == hashlib.sha256(stream).hexdigest(), size
         decoded, _ = decode_sequence(child_stream, model)
         np.testing.assert_array_equal(decoded, recons, err_msg=f"{size}x{size}")
+
+
+def test_stream_identical_across_blas_cores(tmp_path):
+    default = _run_child([PROBE])  # same environment as this process
+    forced = _run_child([CHILD, str(tmp_path), json.dumps(CASES)], OPENBLAS_CORETYPE=CORE, OPENBLAS_NUM_THREADS="1")
+    if forced.get("coretype", "").lower() != CORE.lower():
+        pytest.skip(f"OpenBLAS did not switch to {CORE}: child reports {forced}")
+    if default.get("coretype", "").lower() == CORE.lower():
+        pytest.skip(f"this process already runs the {CORE} core: {default}")
+    _assert_child_streams_match(tmp_path)
+
+
+def test_stream_identical_without_avx512_math(tmp_path):
+    default = _run_child([PROBE])
+    forced = _run_child([CHILD, str(tmp_path), json.dumps(CASES)], NPY_DISABLE_CPU_FEATURES=NO_AVX512)
+    if forced["exp"] == default["exp"]:
+        pytest.skip(f"np.exp computes the same with {NO_AVX512!r} disabled: no AVX512 kernels to switch off")
+    _assert_child_streams_match(tmp_path)

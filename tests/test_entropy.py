@@ -18,6 +18,7 @@ from bnvc.entropy import (
     SCALE_MAX,
     SCALE_MIN,
     TOTAL,
+    DecoderState,
     GaussianModel,
     LogisticModel,
     QuantizedCdf,
@@ -249,6 +250,18 @@ class TestRangeCoder:
                 assert len(out) == 200  # garbage symbols are fine; crashing is not
             except CorruptStreamError:
                 pass
+
+    def test_state_carries_across_table_sets(self):
+        """A payload coded over joined TableSets decodes one TableSet per call
+        through one state, which ends on the payload's last byte."""
+        (s1, t1, _, _), (s2, t2, _, _) = _seeded_chunk(40, 300), _seeded_chunk(41, 200)
+        joined = TableSet(t1.tables + t2.tables, np.concatenate([t1.index, t2.index + len(t1.tables)]))
+        payload = range_encode(np.concatenate([s1, s2]), joined)
+        state = DecoderState()
+        assert range_decode(payload, t1, state) == s1.tolist()
+        assert state.pos < len(payload)
+        assert range_decode(payload, t2, state) == s2.tolist()
+        assert state.pos == len(payload)
 
     def test_payload_bytes_pinned(self):
         # Integer-only tables, so these bytes hold on every platform. The run

@@ -1,5 +1,6 @@
-"""Every bnvc module imports, every name in its __all__ resolves, and
-every bnvc callable that the benchmark's tracer hooks exists."""
+"""Every bnvc module imports, every name in its __all__ resolves, every
+bnvc callable that the benchmark's tracer hooks exists, and every
+console script that pyproject.toml declares resolves."""
 
 import importlib
 import pkgutil
@@ -30,3 +31,21 @@ def test_traced_hooks_resolve(monkeypatch):
     tracing = importlib.import_module("codecbench.tracing")
     missing = [f"{layer}: {module}.{path}" for layer, module, path in tracing.HOOKS if tracing._resolve(module, path) is None]
     assert not missing, f"traced hooks name targets that do not exist: {missing}"
+
+
+def test_console_scripts_resolve():
+    """Every [project.scripts] entry names a callable that imports, so an
+    installed script does not fail at start-up."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"].get("scripts", {})
+    broken = []
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        try:
+            ok = callable(getattr(importlib.import_module(module), attr))
+        except (ImportError, AttributeError):
+            ok = False
+        if not ok:
+            broken.append(f"{name} = {target}")
+    assert not broken, f"pyproject.toml declares scripts whose targets do not resolve: {broken}"
