@@ -4,9 +4,10 @@ Layout (all integers little-endian):
 
     magic "BNVC" | version u8
     header: width u16, height u16, n_ref u8, policy u8 (0=near,
-            1=further), fusion_mode u8, intra_period u16,
-            lambda_index u8, weights_hash u64
-    records, until end of stream:
+            1=further), fusion u8 (0=butterfly, 1=together,
+            2=independent), intra_period u16, lambda_index u8,
+            weights_hash u64
+    records to the end, record i intra iff i % intra_period == 0:
       intra: type u8 = 0, crc u32, raw planar RGB (3*H*W bytes)
       inter: type u8 = 1, crc u32, length u32, one range-coded payload
              of that many bytes
@@ -19,6 +20,10 @@ Version 3 range-codes the four latents of an inter frame (mv hyper, mv
 main, ctx hyper, ctx main) in one payload, with one flush (see `entropy`
 and `codec`); version 2 gave each its own length-prefixed payload. A
 stream of any other version is rejected as corrupt.
+
+`StreamHeader` holds the header's rules: it refuses a field no encoder
+writes with `UsageError`, which `StreamHeader.unpack` turns, like an
+unknown policy or fusion byte, into `CorruptStreamError`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,10 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from .errors import CorruptStreamError
+from .errors import CorruptStreamError, UsageError
+from .fusion import FusionMode
+from .model import LAMBDA_VALUES, CodecModel
+from .policies import DuplicationPolicy
 
 __all__ = ["MAGIC", "VERSION", "StreamHeader", "BitstreamWriter", "BitstreamReader"]
 
@@ -40,17 +48,37 @@ _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 FRAME_TYPE_INTRA = 0
 FRAME_TYPE_INTER = 1
 
+# each enum's members in the order of their header byte values
+_POLICY_WIRE = (DuplicationPolicy.NEAR, DuplicationPolicy.FURTHER)
+_FUSION_WIRE = (FusionMode.BUTTERFLY, FusionMode.TOGETHER, FusionMode.INDEPENDENT)
+_U16_MAX = 0xFFFF
+
 
 @dataclass(frozen=True)
 class StreamHeader:
     width: int
     height: int
     n_ref: int
-    policy_wire: int
-    fusion_wire: int
+    policy: DuplicationPolicy
+    fusion: FusionMode
     intra_period: int
     lambda_index: int
     weights_hash: int
+
+    def __post_init__(self):
+        CodecModel.latent_hw(self.height, self.width)
+        if max(self.height, self.width) > _U16_MAX:
+            raise UsageError(f"frame size must be at most {_U16_MAX} per side, got {self.height}x{self.width}")
+        if not 1 <= self.n_ref <= 0xFF:
+            raise UsageError(f"reference count must be in 1..255, got {self.n_ref}")
+        if not 1 <= self.intra_period <= _U16_MAX:
+            raise UsageError(f"intra period must be in 1..{_U16_MAX}, got {self.intra_period}")
+        if not 0 <= self.lambda_index < len(LAMBDA_VALUES):
+            raise UsageError(f"lambda index must be in 0..{len(LAMBDA_VALUES) - 1}, got {self.lambda_index}")
+
+    def intra_at(self, index: int) -> bool:
+        """Whether frame `index` is coded intra: the schedule of both encoder and decoder."""
+        return index % self.intra_period == 0
 
     def pack(self) -> bytes:
         return struct.pack(
@@ -60,8 +88,8 @@ class StreamHeader:
             self.width,
             self.height,
             self.n_ref,
-            self.policy_wire,
-            self.fusion_wire,
+            _POLICY_WIRE.index(self.policy),
+            _FUSION_WIRE.index(self.fusion),
             self.intra_period,
             self.lambda_index,
             self.weights_hash,
@@ -76,7 +104,12 @@ class StreamHeader:
             raise CorruptStreamError(f"bad magic {magic!r}, expected {MAGIC!r}")
         if version != VERSION:
             raise CorruptStreamError(f"unsupported stream version {version}")
-        return cls(w, h, n_ref, policy, fusion, period, lam, whash)
+        if policy >= len(_POLICY_WIRE) or fusion >= len(_FUSION_WIRE):
+            raise CorruptStreamError(f"invalid stream header: policy byte {policy}, fusion mode byte {fusion}")
+        try:
+            return cls(w, h, n_ref, _POLICY_WIRE[policy], _FUSION_WIRE[fusion], period, lam, whash)
+        except UsageError as err:
+            raise CorruptStreamError(f"invalid stream header: {err}") from None
 
 
 class BitstreamWriter:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +34,6 @@ from .bitstream import (
 )
 from .entropy import DecoderState, TableSet, build_logistic_cdf_rows, gaussian_tables, range_decode, range_encode
 from .errors import CorruptStreamError, UsageError
-from .fusion import FusionMode
 from .metrics import psnr
 from .model import CodecModel
 from .motion import compose_flows, estimate_motion
@@ -57,17 +56,6 @@ __all__ = [
     "decode_sequence",
     "EncodeStats",
 ]
-
-# width, height and intra_period are u16 header fields (see bitstream)
-_U16_MAX = 0xFFFF
-
-
-def _check_rate_fields(lambda_index: int, intra_period: int) -> None:
-    if not 0 <= lambda_index <= 3:
-        raise UsageError(f"lambda index must be in 0..3, got {lambda_index}")
-    if not 1 <= intra_period <= _U16_MAX:
-        raise UsageError(f"intra period must be in 1..{_U16_MAX}, got {intra_period}")
-
 
 @dataclass
 class Frame:
@@ -315,29 +303,24 @@ def encode_sequence(
     n, _, h, w = frames.shape
     if n < 1:
         raise UsageError("sequence must hold at least one frame")
-    if h > _U16_MAX or w > _U16_MAX:
-        raise UsageError(f"frame size must be at most {_U16_MAX} per side, got {h}x{w}")
-    model.latent_hw(h, w)  # validates divisibility
-    _check_rate_fields(lambda_index, intra_period)
-
-    weights_hash = model.prepare_for_coding()
+    # the header refuses a field no decoder accepts before the weights are snapped
     header = StreamHeader(
         width=w,
         height=h,
         n_ref=model.config.n_ref,
-        policy_wire=policy.wire_value,
-        fusion_wire=model.config.fusion.wire_value,
+        policy=policy,
+        fusion=model.config.fusion,
         intra_period=intra_period,
         lambda_index=lambda_index,
-        weights_hash=weights_hash,
+        weights_hash=0,
     )
-    writer = BitstreamWriter(header)
+    writer = BitstreamWriter(replace(header, weights_hash=model.prepare_for_coding()))
     dpb = deque(maxlen=model.config.n_ref)
     recons = np.empty_like(frames)
     types: list[str] = []
     psnrs: list[float] = []
     for i in range(n):
-        if i % intra_period == 0:
+        if header.intra_at(i):
             writer.add_intra(frames[i].tobytes())
             dpb.clear()
             frame = intra_frame(model, frames[i], i)
@@ -370,29 +353,17 @@ def decode_sequence(
     """Decode a bitstream; refuses mismatched weights/config/policy."""
     reader = BitstreamReader(data)
     header = reader.header
-    h, w = header.height, header.width
-    try:
-        model.latent_hw(h, w)
-        _check_rate_fields(header.lambda_index, header.intra_period)
-        policy = DuplicationPolicy.from_wire(header.policy_wire)
-        fusion = FusionMode.from_wire(header.fusion_wire)
-    except UsageError as err:
-        raise CorruptStreamError(f"invalid stream header: {err}") from None
-    if header.n_ref < 1:
-        raise CorruptStreamError("invalid stream header: no model has 0 references")
+    h, w, policy = header.height, header.width, header.policy
     weights_hash = model.prepare_for_coding()
     if header.weights_hash != weights_hash:
         raise UsageError(
             f"weights hash mismatch: stream was coded with {header.weights_hash:016x}, "
             f"model is {weights_hash:016x}"
         )
-    if fusion is not model.config.fusion:
+    if (header.fusion, header.n_ref) != (model.config.fusion, model.config.n_ref):
         raise UsageError(
-            f"stream was coded with {fusion.value} fusion, model uses {model.config.fusion.value}"
-        )
-    if header.n_ref != model.config.n_ref:
-        raise UsageError(
-            f"stream uses {header.n_ref} references, model is built for {model.config.n_ref}"
+            f"stream was coded with {header.fusion.value} fusion and {header.n_ref} references, "
+            f"model uses {model.config.fusion.value} and {model.config.n_ref}"
         )
     if expected_policy is not None and expected_policy is not policy:
         raise UsageError(
@@ -403,13 +374,13 @@ def decode_sequence(
     index = 0
     while not reader.at_end():
         ftype, record = reader.next_record()
+        if (ftype == FRAME_TYPE_INTRA) != header.intra_at(index):
+            raise CorruptStreamError(f"frame {index}'s record type breaks the intra period {header.intra_period}")
         if ftype == FRAME_TYPE_INTRA:
             pixels = np.frombuffer(record, dtype=np.uint8).reshape(3, h, w).copy()
             dpb.clear()
             frame = intra_frame(model, pixels, index)
         else:  # FRAME_TYPE_INTER; the reader rejects any other type
-            if not dpb:
-                raise CorruptStreamError("inter record with an empty decoded buffer")
             frame = decode_frame(record, index, dpb, model, policy, (h, w))
         dpb.append(frame)
         out.append(frame.pixels)

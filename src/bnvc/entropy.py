@@ -30,7 +30,8 @@ All coder arithmetic is on Python integers, so payloads are identical
 across platforms.
 
 One payload may code several TableSets joined: one `DecoderState` carries
-the decoder across them, one `range_decode` call each. It reads one byte
+the decoder across them, one `range_decode` call each. It refuses a
+payload whose leading byte is not the encoder's zero, and reads one byte
 per byte the encoder wrote, so it ends exactly on the payload's last byte.
 """
 
@@ -275,7 +276,8 @@ def range_decode(payload: bytes, tables: TableSet, state: DecoderState | None = 
     if not pos:
         if len(payload) < _FLUSH_BYTES:
             raise CorruptStreamError(f"payload shorter than the {_FLUSH_BYTES}-byte flush")
-        # byte 0 is the encoder's leading zero byte
+        if payload[0]:  # the encoder's leading zero byte
+            raise CorruptStreamError(f"payload starts with byte {payload[0]}, not the encoder's 0")
         code, rng, pos = int.from_bytes(payload[1:_FLUSH_BYTES], "big"), _RANGE_TOP - 1, _FLUSH_BYTES
     cums = [t.cum.tolist() for t in tables.tables]
     s_mins = tables.s_min.tolist()

@@ -49,26 +49,6 @@ class FusionMode(enum.Enum):
     TOGETHER = "together"
     INDEPENDENT = "independent"
 
-    @classmethod
-    def parse(cls, name: str) -> "FusionMode":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise UsageError(
-                f"unknown fusion mode {name!r}; expected butterfly, together, or independent"
-            ) from None
-
-    @property
-    def wire_value(self) -> int:
-        return {"butterfly": 0, "together": 1, "independent": 2}[self.value]
-
-    @classmethod
-    def from_wire(cls, value: int) -> "FusionMode":
-        try:
-            return {0: cls.BUTTERFLY, 1: cls.TOGETHER, 2: cls.INDEPENDENT}[value]
-        except KeyError:
-            raise UsageError(f"invalid fusion mode byte {value}") from None
-
 
 @dataclass
 class FeaturePyramid:
@@ -99,13 +79,6 @@ class ContextPyramid:
     c2: Tensor
 
 
-def _check_spatial(x: Tensor) -> tuple[int, int]:
-    _, h, w = x.shape
-    if h % 4 or w % 4:
-        raise UsageError(f"fusion input spatial size must be divisible by 4, got {h}x{w}")
-    return h, w
-
-
 class DownsampleStage:
     """One reference's independent three-scale pyramid extractor."""
 
@@ -118,7 +91,6 @@ class DownsampleStage:
         self.res2 = ResBlock(store, f"{name}.res2", c2, rng)
 
     def __call__(self, x: Tensor) -> FeaturePyramid:
-        _check_spatial(x)
         f0 = self.res0(x)
         f1 = self.res1(leaky_relu(self.down1(f0)))
         f2 = self.res2(leaky_relu(self.down2(f1)))
@@ -230,7 +202,6 @@ class MultiRefFusion:
         for t in warped:
             if t.shape != shape:
                 raise ShapeError(f"warped feature shape mismatch: {t.shape} vs {shape}")
-        _check_spatial(warped[0])
         if self.mode is FusionMode.BUTTERFLY:
             return self.grid([self.down[j](warped[j]) for j in range(self.n_ref)])
         if self.mode is FusionMode.TOGETHER:

@@ -81,7 +81,7 @@ class ModelConfig:
     def from_manifest(cls, m: dict) -> "ModelConfig":
         return cls(
             n_ref=int(m["n_ref"]),
-            fusion=FusionMode.parse(m["fusion"]),
+            fusion=FusionMode(m["fusion"]),
             ctx_channels=tuple(int(c) for c in m["ctx_channels"]),
             mv_latent=int(m["mv_latent"]),
             mv_hyper=int(m["mv_hyper"]),
@@ -146,7 +146,8 @@ class CodecModel:
 
     # -- shapes ---------------------------------------------------------
 
-    def latent_hw(self, h: int, w: int) -> tuple[int, int]:
+    @staticmethod
+    def latent_hw(h: int, w: int) -> tuple[int, int]:
         if h <= 0 or w <= 0 or h % 4 or w % 4:
             raise UsageError(f"frame size must be a positive multiple of 4, got {h}x{w}")
         return h // 4, w // 4

@@ -21,18 +21,6 @@ class DuplicationPolicy(enum.Enum):
     NEAR = "near"
     FURTHER = "further"
 
-    @property
-    def wire_value(self) -> int:
-        return 0 if self is DuplicationPolicy.NEAR else 1
-
-    @classmethod
-    def from_wire(cls, value: int) -> "DuplicationPolicy":
-        if value == 0:
-            return cls.NEAR
-        if value == 1:
-            return cls.FURTHER
-        raise UsageError(f"invalid duplication policy byte {value}")
-
 
 def pad_references(items: Sequence[T], n: int, policy: DuplicationPolicy) -> list[T]:
     """Pad or trim an oldest-to-newest reference list to exactly n entries.

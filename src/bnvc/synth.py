@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UsageError
+from .model import CodecModel
 
 __all__ = ["generate_sequence", "generate_dataset"]
 
@@ -34,8 +34,7 @@ def generate_sequence(
     occlusion: bool = False,
 ) -> np.ndarray:
     """(n_frames, 3, height, width) uint8 frames, fully seeded."""
-    if width % 4 or height % 4:
-        raise UsageError(f"frame size must be divisible by 4, got {height}x{width}")
+    CodecModel.latent_hw(height, width)  # the codec's frame grid
     rng = np.random.default_rng(seed)
 
     gx = np.linspace(0, 1, width)[None, :]

@@ -99,8 +99,8 @@ class TrainingConfig:
     lr: float = 1e-3
 
     def __post_init__(self):
-        if not 0 <= self.lambda_index <= 3:
-            raise UsageError(f"lambda index must be in 0..3, got {self.lambda_index}")
+        if not 0 <= self.lambda_index < len(LAMBDA_VALUES):
+            raise UsageError(f"lambda index must be in 0..{len(LAMBDA_VALUES) - 1}, got {self.lambda_index}")
         if self.steps < 0 or self.rollout < 1:
             raise UsageError("steps must be >= 0 and rollout >= 1")
 

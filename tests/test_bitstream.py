@@ -10,7 +10,9 @@ from bnvc.bitstream import (
     BitstreamWriter,
     StreamHeader,
 )
-from bnvc.errors import CorruptStreamError
+from bnvc.errors import CorruptStreamError, UsageError
+from bnvc.fusion import FusionMode
+from bnvc.policies import DuplicationPolicy
 
 
 def _header(**kw):
@@ -18,8 +20,8 @@ def _header(**kw):
         width=32,
         height=24,
         n_ref=4,
-        policy_wire=0,
-        fusion_wire=0,
+        policy=DuplicationPolicy.NEAR,
+        fusion=FusionMode.BUTTERFLY,
         intra_period=32,
         lambda_index=2,
         weights_hash=0x0123456789ABCDEF,
@@ -50,12 +52,30 @@ class TestHeader:
         with pytest.raises(CorruptStreamError):
             StreamHeader.unpack(b"BNVC")
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("width", 30, "positive multiple of 4"),
+            ("height", 0, "positive multiple of 4"),
+            ("width", 65540, "at most 65535"),
+            ("n_ref", 0, "reference count"),
+            ("n_ref", 256, "reference count"),
+            ("intra_period", 0, "intra period"),
+            ("intra_period", 65536, "intra period"),
+            ("lambda_index", 4, "lambda index"),
+            ("lambda_index", -1, "lambda index"),
+        ],
+    )
+    def test_field_no_encoder_writes_refused(self, field, value, message):
+        with pytest.raises(UsageError, match=message):
+            _header(**{field: value})
+
 
 class TestRecords:
     def test_intra_and_inter_round_trip(self):
-        h = _header(width=4, height=2)
+        h = _header(width=4, height=4)
         writer = BitstreamWriter(h)
-        raw = bytes(range(24))  # 3 * 2 * 4
+        raw = bytes(range(48))  # 3 * 4 * 4
         writer.add_intra(raw)
         payload = b"\x01\x02abcdef" + b"\xff" * 9
         writer.add_inter(payload)
@@ -67,17 +87,17 @@ class TestRecords:
         assert reader.at_end()
 
     def test_frame_bits_accounting(self):
-        h = _header(width=4, height=2)
+        h = _header(width=4, height=4)
         writer = BitstreamWriter(h)
-        writer.add_intra(bytes(24))
+        writer.add_intra(bytes(48))
         writer.add_inter(b"123456")
         total = len(writer.getvalue())
         assert total == 23 + sum(writer.frame_bits) // 8
-        assert writer.frame_bits[0] == 8 * (5 + 24)
+        assert writer.frame_bits[0] == 8 * (5 + 48)
         assert writer.frame_bits[1] == 8 * (5 + 4 + 6)
 
     def test_crc_catches_every_single_byte_flip(self):
-        h = _header(width=4, height=2)
+        h = _header(width=4, height=4)
         writer = BitstreamWriter(h)
         writer.add_inter(b"\x00\x01\x02\x03\x04\x05\x06\x07\x08")
         data = writer.getvalue()
@@ -91,16 +111,16 @@ class TestRecords:
                     reader.next_record()
 
     def test_truncation_detected(self):
-        writer = BitstreamWriter(_header(width=4, height=2))
-        writer.add_intra(bytes(24))
+        writer = BitstreamWriter(_header(width=4, height=4))
+        writer.add_intra(bytes(48))
         data = writer.getvalue()
         reader = BitstreamReader(data[:-3])
         with pytest.raises(CorruptStreamError):
             reader.next_record()
 
     def test_unknown_record_type_rejected(self):
-        writer = BitstreamWriter(_header(width=4, height=2))
-        writer.add_intra(bytes(24))
+        writer = BitstreamWriter(_header(width=4, height=4))
+        writer.add_intra(bytes(48))
         data = bytearray(writer.getvalue())
         data[23] = 7  # type byte
         reader = BitstreamReader(bytes(data))

@@ -4,7 +4,7 @@ frame and sequence round trips, corruption detection, and refusal paths.
 
 import json
 import zlib
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -382,7 +382,7 @@ class TestSequenceRoundTrip:
         data, stats, recons = encode_sequence(seq, model, FURTHER)
         decoded, header = decode_sequence(data, model, expected_policy=FURTHER)
         np.testing.assert_array_equal(decoded, recons)
-        assert header.policy_wire == FURTHER.wire_value
+        assert header.policy is FURTHER
 
     def test_rate_accounting_identity(self):
         model = _model()
@@ -405,6 +405,20 @@ class TestSequenceRoundTrip:
     def test_frame_wider_than_header_field_rejected(self):
         with pytest.raises(UsageError, match="frame size"):
             encode_sequence(np.zeros((1, 3, 4, 65540), dtype=np.uint8), _model(), NEAR)
+
+    @pytest.mark.parametrize(
+        "kwargs, hw",
+        [({"intra_period": 0}, (32, 32)), ({"lambda_index": 4}, (32, 32)), ({}, (32, 30)), ({}, (4, 65540))],
+        ids=["intra_period_0", "lambda_index_4", "width_30", "width_65540"],
+    )
+    def test_refused_encode_leaves_weights_unsnapped(self, kwargs, hw):
+        """The header refuses its fields before the weights are snapped through float32."""
+        model = _model()
+        before = [t.data.copy() for t in model.store.tensors()]
+        assert any(not np.array_equal(b, b.astype(np.float32)) for b in before)
+        with pytest.raises(UsageError):
+            encode_sequence(np.zeros((1, 3, *hw), dtype=np.uint8), model, NEAR, **kwargs)
+        assert all(np.array_equal(b, t.data) for b, t in zip(before, model.store.tensors()))
 
     def test_weights_hash_guard(self):
         model = _model()
@@ -449,6 +463,35 @@ class TestSequenceRoundTrip:
         body = (len(payload) + 1).to_bytes(4, "little") + payload + b"\x00"
         bad = data[: start + 1] + zlib.crc32(body).to_bytes(4, "little") + body
         with pytest.raises(CorruptStreamError, match="1 bytes past its last symbol"):
+            decode_sequence(bad, model)
+
+    def test_payload_leading_byte_checked(self):
+        """Payload byte 0 is the encoder's carry sentinel, always 0; any
+        other value under a recomputed CRC is corruption."""
+        model = _model()
+        data, _, _ = encode_sequence(_sequence(seed=19, n=2), model, NEAR)
+        start = 23 + 5 + 3 * 32 * 32  # header + intra record
+        bad = bytearray(data)
+        bad[start + 9] = 0xA5
+        bad[start + 1 : start + 5] = zlib.crc32(bad[start + 5 :]).to_bytes(4, "little")
+        with pytest.raises(CorruptStreamError, match="starts with byte 165"):
+            decode_sequence(bytes(bad), model)
+
+    @pytest.mark.parametrize(
+        "period, drop_intra",
+        [(1, False), (2, False), (3, False), (32, True)],
+        ids=["period_1", "period_2", "period_3", "inter_record_first"],
+    )
+    def test_intra_schedule_enforced(self, period, drop_intra):
+        """Record i must be intra exactly when i % intra_period == 0, so an
+        inter record never meets an empty decoded buffer."""
+        model = _model()
+        data, _, _ = encode_sequence(_sequence(seed=19, n=5), model, NEAR)
+        if drop_intra:
+            bad = data[:23] + data[23 + 5 + 3 * 32 * 32 :]
+        else:
+            bad = _patched(data, 12, period.to_bytes(2, "little"))
+        with pytest.raises(CorruptStreamError, match=f"breaks the intra period {period}"):
             decode_sequence(bad, model)
 
     def test_flipped_payload_bytes_detected_never_crash(self):
@@ -520,6 +563,19 @@ class TestDecodeFuzz:
             outcomes.append(self._outcome(data[:cut], model, recons))
         assert "CorruptStreamError" in outcomes
 
+    def test_header_edits(self):
+        """Each of the 23 header bytes set to 0, 1, 0xFF and its own value ^ 1
+        (87 edits that change a byte) raises a package error or decodes to the
+        encoder's frames."""
+        model = _model()
+        data, _, recons = encode_sequence(_sequence(seed=19, n=5), model, NEAR)
+        outcomes = Counter()
+        for offset in range(23):
+            for value in (0, 1, 0xFF, data[offset] ^ 1):
+                if value != data[offset]:
+                    outcomes[self._outcome(_patched(data, offset, bytes([value])), model, recons)] += 1
+        assert outcomes == {"CorruptStreamError": 42, "UsageError": 37, "decoded": 8}
+
 
 def _patched(data, offset, value):
     bad = bytearray(data)
@@ -568,7 +624,7 @@ class TestHeaderFields:
     def test_valid_other_fusion_mode_is_usage_error(self, coded):
         model, data = coded
         with pytest.raises(UsageError, match="together fusion"):
-            decode_sequence(_patched(data, 11, bytes([FusionMode.TOGETHER.wire_value])), model)
+            decode_sequence(_patched(data, 11, bytes([1])), model)  # 1: together
 
 
 class TestSaveLoadRoundTrip:

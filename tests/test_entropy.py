@@ -152,6 +152,16 @@ class TestScaleTable:
         between_tables = gaussian_tables([between])
         assert between_tables.tables[between_tables.index[0]] is entry_tables[21]
 
+    def test_floor_tables_code_identical_bytes(self):
+        """Tables 0-11 all quantize to [1, 1, 65532, 1, 1] over -2..2, so which
+        of them a scale near SCALE_MIN picks changes no coded byte; table 12 is
+        the first whose choice shows in the payload."""
+        symbols = np.random.default_rng(12).choice([-2, -1, 0, 1, 2], size=400, p=[0.05, 0.1, 0.7, 0.1, 0.05])
+        tables = gaussian_tables(GAUSSIAN_SCALES)
+        payloads = [range_encode(symbols, TableSet(tables.tables, np.full(400, i))) for i in range(13)]
+        assert all(p == payloads[0] for p in payloads[:12])
+        assert payloads[12] != payloads[0]
+
     def test_equal_scales_share_one_table(self):
         tables = gaussian_tables(np.full((2, 3, 4), 0.7))
         assert len(tables) == 24

@@ -9,9 +9,11 @@ correctness of the full butterfly against finite differences.
 import numpy as np
 import pytest
 
+from bnvc.bitstream import StreamHeader
 from bnvc.errors import ShapeError, UsageError
 from bnvc.fusion import ContextPyramid, FusionMode, MultiRefFusion
 from bnvc.network import ParamStore
+from bnvc.policies import DuplicationPolicy
 from bnvc.tensor import Tensor, no_grad, sum_all
 
 CH = (16, 24, 32)
@@ -152,13 +154,11 @@ class TestFusionModes:
             fusion(_warped(n_ref=3))
 
     def test_mode_wire_round_trip(self):
+        """Every fusion mode and policy survives the stream header's bytes."""
         for mode in FusionMode:
-            assert FusionMode.from_wire(mode.wire_value) is mode
-        with pytest.raises(UsageError):
-            FusionMode.from_wire(7)
-        assert FusionMode.parse("Butterfly") is FusionMode.BUTTERFLY
-        with pytest.raises(UsageError):
-            FusionMode.parse("magic")
+            for policy in DuplicationPolicy:
+                header = StreamHeader(32, 32, 4, policy, mode, 32, 2, 0x0123456789ABCDEF)
+                assert StreamHeader.unpack(header.pack()) == header
 
 
 class TestOcclusionSensitivity:
