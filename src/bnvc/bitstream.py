@@ -66,6 +66,10 @@ class StreamHeader:
     weights_hash: int
 
     def __post_init__(self):
+        if not isinstance(self.policy, DuplicationPolicy):
+            raise UsageError(f"policy must be a DuplicationPolicy, got {self.policy!r}")
+        if not isinstance(self.fusion, FusionMode):
+            raise UsageError(f"fusion must be a FusionMode, got {self.fusion!r}")
         CodecModel.latent_hw(self.height, self.width)
         if max(self.height, self.width) > _U16_MAX:
             raise UsageError(f"frame size must be at most {_U16_MAX} per side, got {self.height}x{self.width}")

@@ -354,7 +354,9 @@ def decode_sequence(
     reader = BitstreamReader(data)
     header = reader.header
     h, w, policy = header.height, header.width, header.policy
-    weights_hash = model.prepare_for_coding()
+    # the hash is of the float32 serialization, the same before and after the
+    # snap, so a refused stream leaves the caller's weights as they were
+    weights_hash = model.store.weights_hash()
     if header.weights_hash != weights_hash:
         raise UsageError(
             f"weights hash mismatch: stream was coded with {header.weights_hash:016x}, "
@@ -369,6 +371,7 @@ def decode_sequence(
         raise UsageError(
             f"stream header says policy {policy.value!r}, refusing requested {expected_policy.value!r}"
         )
+    model.store.snap_to_f32()
     dpb = deque(maxlen=model.config.n_ref)
     out: list[np.ndarray] = []
     index = 0

@@ -19,7 +19,12 @@ Each table covers round(mean) +- (ceil(4.6 * scale) + 1). Bin
 probabilities over that support are renormalized, quantized to 16-bit
 frequencies with a minimum of 1, and the rounding deficit is corrected
 deterministically on the largest bucket, so encoder and decoder always
-derive identical tables from identical parameters.
+derive identical tables from identical parameters. The CDFs are
+`special.ndtr` and `special.expit`, numpy ports of scipy.special's
+kernels, bit-equal to them. They take every `exp` from the C library and
+never from `np.exp`, whose kernel numpy picks by CPU feature, so a CDF
+value does not hang on the host's instruction set (the scales that pick
+a table still pass through `np.exp`).
 
 `range_encode` and `range_decode` are LZMA-style carry/cache coders
 with a 40-bit range state renormalized one byte at a time (range always
@@ -43,9 +48,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special as _special
 
 from .errors import CorruptStreamError, UsageError
+from .special import expit, ndtr
 
 __all__ = [
     "SCALE_MIN",
@@ -197,12 +202,12 @@ def _build_cdf_rows(means, scales, cdf_fn) -> list[QuantizedCdf]:
 
 def build_gaussian_cdf_rows(means, scales) -> list[QuantizedCdf]:
     """Gaussian tables, one per (mean, scale) row."""
-    return _build_cdf_rows(means, scales, _special.ndtr)
+    return _build_cdf_rows(means, scales, ndtr)
 
 
 def build_logistic_cdf_rows(locs, scales) -> list[QuantizedCdf]:
     """Logistic tables, one per (loc, scale) row."""
-    return _build_cdf_rows(locs, scales, _special.expit)
+    return _build_cdf_rows(locs, scales, expit)
 
 
 # Ends pinned exactly: exp(log(SCALE_MAX)) is 15.999999999999998, so a scale
@@ -344,9 +349,9 @@ def estimate_bits(values, model) -> float:
     """
     v = np.asarray(values, dtype=np.float64)
     if isinstance(model, GaussianModel):
-        probs = _bin_probs(v, model.mean, model.scale, _special.ndtr)
+        probs = _bin_probs(v, model.mean, model.scale, ndtr)
     elif isinstance(model, LogisticModel):
-        probs = _bin_probs(v, model.loc, model.scale, _special.expit)
+        probs = _bin_probs(v, model.loc, model.scale, expit)
     else:
         raise UsageError(f"unsupported model type {type(model).__name__}")
     probs = np.maximum(probs, MIN_PROB)

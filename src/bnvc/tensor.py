@@ -17,7 +17,10 @@ Design constraints, in order of priority:
 * Just enough surface. Only the operations the codec networks need
   exist: elementwise arithmetic, leaky ReLU, sigmoid, the standard
   normal CDF, clamp, same-padded 2-D convolution, bilinear resize,
-  bilinear warp, channel concat, and full reductions.
+  bilinear warp, channel concat, and full reductions. sigmoid and the
+  normal CDF are `special.expit` and `special.ndtr`: bit-equal to
+  scipy.special's, they take libm's `exp`, not `np.exp`, whose kernel
+  numpy picks by CPU feature, so their values do not hang on the host.
 
 Everything is float64, channels-first (C, H, W), row-major. Values are
 immutable after creation. backward() consumes the graph it runs over:
@@ -35,9 +38,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import special as _special
 
 from .errors import ShapeError, UsageError
+from .special import expit, ndtr
 
 __all__ = [
     "Tensor",
@@ -267,7 +270,7 @@ def leaky_relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    s = _special.expit(x.data)
+    s = expit(x.data)
 
     def back(g):
         return (g * s * (1.0 - s),)
@@ -277,7 +280,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def std_normal_cdf(x: Tensor) -> Tensor:
     """Phi(x), the standard normal CDF; gradient is the normal PDF."""
-    data = _special.ndtr(x.data)
+    data = ndtr(x.data)
 
     def back(g):
         return (g * _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data),)
@@ -623,11 +626,14 @@ def warp_bilinear(x: Tensor, flow: Tensor) -> Tensor:
     inside_y = (sy > 0.0) & (sy < h - 1.0)
 
     def back(g):
-        gx_img = np.zeros_like(xd).reshape(c, -1)
-        gflat = g.reshape(c, -1)
-        ch_idx = np.arange(c)[:, None]
-        for weight, idx in ((w00, i00), (w01, i01), (w10, i10), (w11, i11)):
-            np.add.at(gx_img, (ch_idx, idx.ravel()[None, :]), gflat * weight.ravel()[None, :])
+        # one bincount over the corner-major flat indices ch*H*W + idx adds in
+        # input order, so each pixel sums the same terms in the same order as
+        # four np.add.at calls, one per corner
+        hw = h * w
+        gflat = g.reshape(c, hw)
+        flat = np.stack([i00, i01, i10, i11]).reshape(4, 1, hw) + (np.arange(c) * hw)[:, None]
+        vals = gflat * np.stack([w00, w01, w10, w11]).reshape(4, 1, hw)
+        gx_img = np.bincount(flat.ravel(), weights=vals.ravel(), minlength=c * hw)
         d_dx = ((v01 - v00) * (1.0 - fy) + (v11 - v10) * fy) * g
         d_dy = ((v10 - v00) * (1.0 - fx) + (v11 - v01) * fx) * g
         gflow = np.stack(

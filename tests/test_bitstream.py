@@ -64,6 +64,9 @@ class TestHeader:
             ("intra_period", 65536, "intra period"),
             ("lambda_index", 4, "lambda index"),
             ("lambda_index", -1, "lambda index"),
+            ("policy", "near", "DuplicationPolicy"),
+            ("policy", FusionMode.BUTTERFLY, "DuplicationPolicy"),
+            ("fusion", "butterfly", "FusionMode"),
         ],
     )
     def test_field_no_encoder_writes_refused(self, field, value, message):

@@ -408,8 +408,14 @@ class TestSequenceRoundTrip:
 
     @pytest.mark.parametrize(
         "kwargs, hw",
-        [({"intra_period": 0}, (32, 32)), ({"lambda_index": 4}, (32, 32)), ({}, (32, 30)), ({}, (4, 65540))],
-        ids=["intra_period_0", "lambda_index_4", "width_30", "width_65540"],
+        [
+            ({"intra_period": 0}, (32, 32)),
+            ({"lambda_index": 4}, (32, 32)),
+            ({}, (32, 30)),
+            ({}, (4, 65540)),
+            ({"policy": "near"}, (32, 32)),
+        ],
+        ids=["intra_period_0", "lambda_index_4", "width_30", "width_65540", "policy_str"],
     )
     def test_refused_encode_leaves_weights_unsnapped(self, kwargs, hw):
         """The header refuses its fields before the weights are snapped through float32."""
@@ -417,8 +423,18 @@ class TestSequenceRoundTrip:
         before = [t.data.copy() for t in model.store.tensors()]
         assert any(not np.array_equal(b, b.astype(np.float32)) for b in before)
         with pytest.raises(UsageError):
-            encode_sequence(np.zeros((1, 3, *hw), dtype=np.uint8), model, NEAR, **kwargs)
+            encode_sequence(np.zeros((1, 3, *hw), dtype=np.uint8), model, **{"policy": NEAR, **kwargs})
         assert all(np.array_equal(b, t.data) for b, t in zip(before, model.store.tensors()))
+
+    def test_refused_decode_leaves_weights_unsnapped(self):
+        """The weights hash is compared before the caller's weights are snapped through float32."""
+        data, _, _ = encode_sequence(_sequence(seed=16, n=2), CodecModel(ModelConfig.toy(), seed=0), NEAR)
+        other = CodecModel(ModelConfig.toy(), seed=1)
+        before = [t.data.tobytes() for t in other.store.tensors()]
+        assert any(not np.array_equal(t.data, t.data.astype(np.float32)) for t in other.store.tensors())
+        with pytest.raises(UsageError, match="weights hash mismatch"):
+            decode_sequence(data, other)
+        assert before == [t.data.tobytes() for t in other.store.tensors()]
 
     def test_weights_hash_guard(self):
         model = _model()

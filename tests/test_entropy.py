@@ -13,6 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import bnvc.entropy as entropy
 from bnvc.entropy import (
     GAUSSIAN_SCALES,
     SCALE_MAX,
@@ -139,6 +140,14 @@ class TestScaleTable:
         for table, want in zip(tables.tables, build_gaussian_cdf_rows(np.zeros(64), GAUSSIAN_SCALES)):
             assert table.s_min == want.s_min
             np.testing.assert_array_equal(table.freq, want.freq)
+
+    def test_shared_tables_pinned(self):
+        """The 64 zero-mean tables every main latent is coded with: a change to
+        their CDF, scales or quantizer that moves any frequency fails here."""
+        h = hashlib.sha256()
+        for t in entropy._GAUSSIAN_TABLES:
+            h.update(np.array([t.s_min], "<i8").tobytes() + t.freq.astype("<i8").tobytes() + t.cum.astype("<i8").tobytes())
+        assert h.hexdigest() == "c7ed7bd3c28fc0543627e56a5a3a7ee6cc2f4a2954e7fd69eefbfc053b240043"
 
     def test_scale_rounds_up_to_smallest_entry(self):
         entry_tables = gaussian_tables(GAUSSIAN_SCALES).tables

@@ -310,6 +310,36 @@ class TestWarpBilinear:
         assert out.flags.c_contiguous
         np.testing.assert_array_equal(out, want)
 
+    def test_image_gradient_equals_add_at_oracle(self):
+        """Every pixel sums the same terms in the same order as one np.add.at per
+        corner, so the gradient is bit-equal, signed zeros included; a large flow
+        clamps many samples onto the border, so indices collide heavily."""
+        rng = np.random.default_rng(9)
+        c, h, w = 3, 7, 9
+        x = rng.normal(size=(c, h, w))
+        flow = rng.normal(scale=6.0, size=(2, h, w))
+        g = rng.normal(size=(c, h, w))
+        g[1] = -0.0
+        xt = _t(x, grad=True)
+        backward(sum_all(warp_bilinear(xt, _t(flow)) * _t(g)))
+
+        gy, gx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+        sx = np.clip(gx + flow[0], 0.0, w - 1.0)
+        sy = np.clip(gy + flow[1], 0.0, h - 1.0)
+        x0, y0 = sx.astype(np.int64), sy.astype(np.int64)
+        x1, y1 = np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1)
+        fx, fy = sx - x0, sy - y0
+        want = np.zeros((c, h * w))
+        corners = (
+            ((1.0 - fy) * (1.0 - fx), y0 * w + x0),
+            ((1.0 - fy) * fx, y0 * w + x1),
+            (fy * (1.0 - fx), y1 * w + x0),
+            (fy * fx, y1 * w + x1),
+        )
+        for weight, idx in corners:
+            np.add.at(want, (np.arange(c)[:, None], idx.ravel()[None, :]), g.reshape(c, -1) * weight.ravel()[None, :])
+        assert np.array_equal(xt.grad.reshape(c, -1).view(np.int64), want.view(np.int64))
+
     def test_flow_shape_validated(self):
         with pytest.raises(ShapeError):
             warp_bilinear(_t(np.zeros((1, 4, 4))), _t(np.zeros((2, 4, 5))))
