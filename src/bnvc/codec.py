@@ -369,7 +369,7 @@ def decode_sequence(
         )
     if expected_policy is not None and expected_policy is not policy:
         raise UsageError(
-            f"stream header says policy {policy.value!r}, refusing requested {expected_policy.value!r}"
+            f"stream header says policy {policy!r}, refusing requested {expected_policy!r}"
         )
     model.store.snap_to_f32()
     dpb = deque(maxlen=model.config.n_ref)

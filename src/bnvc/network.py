@@ -3,10 +3,10 @@ deterministic initialization, and the weights file format.
 
 Weights persist as a flat little-endian float32 binary plus a JSON
 manifest listing parameter names and shapes in load order. A 64-bit
-FNV-1a hash of the binary identifies the weights in bitstream headers.
-Computation always runs in float64; parameters are "snapped" through
-float32 before hashing or coding so that the values used for coding are
-exactly the values a decoder will load from the file.
+FNV-1a hash of that binary, taken of the current values, identifies the
+weights in bitstream headers. Computation runs in float64; parameters
+are "snapped" through float32 before coding so that the values used for
+coding are exactly the values a decoder will load from the file.
 """
 
 from __future__ import annotations
@@ -43,14 +43,13 @@ class ParamStore:
 
     def __init__(self) -> None:
         self._params: dict[str, Tensor] = {}
-        self._hash_cache: int | None = None
+        self._hashed = (b"", _FNV_OFFSET)  # (bytes last hashed, their FNV); fnv1a64(b"") is the offset
 
     def add(self, name: str, values: np.ndarray) -> Tensor:
         if name in self._params:
             raise UsageError(f"duplicate parameter name {name!r}")
         t = Tensor(np.array(values, dtype=np.float64), name=name)
         self._params[name] = t
-        self._hash_cache = None
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -69,29 +68,24 @@ class ParamStore:
         for t in self._params.values():
             t.requires_grad = flag
 
-    def mark_dirty(self) -> None:
-        self._hash_cache = None
-
     def snap_to_f32(self) -> None:
         """Round every parameter through float32 in place.
 
-        The cached hash survives when no value changed, so coding an
-        unchanged model hashes its weights once.
+        Snapping does not change the float32 serialization, so it leaves
+        `weights_hash` as it was.
         """
         for t in self._params.values():
-            snapped = t.data.astype(np.float32).astype(np.float64)
-            if not np.array_equal(snapped, t.data):
-                t.data[...] = snapped
-                self._hash_cache = None
+            t.data[...] = t.data.astype(np.float32)
 
     def to_f32_bytes(self) -> bytes:
         return b"".join(t.data.astype("<f4").tobytes() for t in self._params.values())
 
     def weights_hash(self) -> int:
-        """FNV-1a 64 of the float32 serialization (cached until dirtied)."""
-        if self._hash_cache is None:
-            self._hash_cache = fnv1a64(self.to_f32_bytes())
-        return self._hash_cache
+        """FNV-1a 64 of the float32 serialization; FNV reruns only when those bytes change."""
+        data = self.to_f32_bytes()
+        if data != self._hashed[0]:
+            self._hashed = (data, fnv1a64(data))
+        return self._hashed[1]
 
     def manifest_params(self) -> list[dict]:
         return [{"name": n, "shape": list(t.data.shape)} for n, t in self._params.items()]
@@ -103,8 +97,7 @@ class ParamStore:
         """Load float32 values in manifest order; names and shapes must match.
 
         Every name, shape and the binary's size are checked before any
-        value is written, so a refused load leaves the weights and their
-        cached hash as they were.
+        value is written, so a refused load leaves the weights as they were.
         """
         try:
             listed = [(p["name"], tuple(p["shape"])) for p in manifest_params]
@@ -127,7 +120,6 @@ class ParamStore:
             n = t.data.size
             t.data[...] = raw[pos : pos + n].astype(np.float64).reshape(t.data.shape)
             pos += n
-        self._hash_cache = None
 
 
 class Conv:
@@ -169,10 +161,10 @@ class ResBlock:
 
 
 def save_weights(store: ParamStore, manifest_path: Path, extra: dict) -> None:
-    """Write <stem>.bin plus the JSON manifest at manifest_path."""
+    """Write <stem>.bin plus the JSON manifest at manifest_path. The
+    binary holds the values rounded to float32; the store keeps its own."""
     manifest_path = Path(manifest_path)
     bin_path = manifest_path.with_suffix(".bin")
-    store.snap_to_f32()
     store.save(bin_path)
     manifest = {
         "format": "bnvc-weights",

@@ -29,6 +29,8 @@ def pad_references(items: Sequence[T], n: int, policy: DuplicationPolicy) -> lis
     m < n, NEAR repeats the newest entry and FURTHER repeats the oldest;
     the result stays ordered oldest to newest.
     """
+    if not isinstance(policy, DuplicationPolicy):
+        raise UsageError(f"policy must be a DuplicationPolicy, got {policy!r}")
     if n < 1:
         raise UsageError(f"reference count must be >= 1, got {n}")
     if not items:

@@ -22,11 +22,13 @@ Design constraints, in order of priority:
   scipy.special's, they take libm's `exp`, not `np.exp`, whose kernel
   numpy picks by CPU feature, so their values do not hang on the host.
 
-Everything is float64, channels-first (C, H, W), row-major. Values are
-immutable after creation. backward() consumes the graph it runs over:
-interior nodes drop their gradients, rules and parents as it goes, and
-only leaves keep .grad. Graphs must not be shared across concurrent
-executions; independent graphs may run in parallel.
+Everything is float64, channels-first (C, H, W), row-major. No op writes
+into its inputs; `Adam.step`, `ParamStore.load` and `snap_to_f32` write
+parameters in place, and `weights_hash` reads their current values.
+backward() consumes the graph it runs over: interior nodes drop their
+gradients, rules and parents as it goes, and only leaves keep .grad.
+Graphs must not be shared across concurrent executions; independent
+graphs may run in parallel.
 """
 
 from __future__ import annotations

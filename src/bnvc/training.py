@@ -185,7 +185,6 @@ def train_toy(model: CodecModel, dataset: Sequence[np.ndarray], config: Training
             loss.backward()
             opt.clip_global_norm(_CLIP_NORM)
             opt.step()
-            model.store.mark_dirty()
             log.add(step, loss_val, bpp, mse)
     finally:
         opt.zero_grad()

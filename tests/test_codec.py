@@ -346,6 +346,15 @@ class TestFrameRoundTrip:
         with pytest.raises(UsageError):
             encode_frame(bad, 1, dpb, model, NEAR)
 
+    @pytest.mark.parametrize("policy", ["near", "further", None])
+    def test_policy_that_is_not_an_enum_rejected(self, policy):
+        # without the check a string silently takes FURTHER's padding
+        model = _model()
+        seq = _sequence(seed=11)
+        dpb = deque([intra_frame(model, seq[0], 0)], maxlen=4)
+        with pytest.raises(UsageError, match="DuplicationPolicy"):
+            encode_frame(seq[1], 1, dpb, model, policy)
+
 
 class TestSequenceRoundTrip:
     def test_single_frame_lossless_intra(self):
@@ -450,6 +459,12 @@ class TestSequenceRoundTrip:
         data, _, _ = encode_sequence(seq, model, NEAR)
         with pytest.raises(UsageError):
             decode_sequence(data, model, expected_policy=FURTHER)
+
+    @pytest.mark.parametrize("expected", ["near", "further"])
+    def test_policy_given_as_string_refused(self, expected):
+        data, _, _ = encode_sequence(_sequence(seed=17, n=2), _model(), NEAR)
+        with pytest.raises(UsageError, match="refusing requested"):
+            decode_sequence(data, _model(), expected_policy=expected)
 
     def test_fusion_mode_mismatch_refused(self):
         cfg_b = TINY

@@ -1,10 +1,11 @@
-"""Tests for the parameter store, weights files, and the FNV-1a hash."""
+"""Tests for the parameter store, weights files, and the FNV-1a weights
+hash, which always names the parameters' current float32 values."""
 
 import numpy as np
 import pytest
 
 import bnvc.network as network
-from bnvc.codec import encode_sequence
+from bnvc.codec import decode_sequence, encode_sequence
 from bnvc.errors import ShapeError, UsageError
 from bnvc.model import CodecModel, ModelConfig
 from bnvc.network import Conv, ParamStore, ResBlock, fnv1a64, read_manifest, save_weights
@@ -42,14 +43,16 @@ class TestParamStore:
         store = ParamStore()
         rng = np.random.default_rng(0)
         store.add("p", rng.normal(size=100))
-        store.snap_to_f32()
         h1 = store.weights_hash()
+        store.snap_to_f32()
+        assert store.weights_hash() == h1  # the float32 serialization is unchanged
         snapped = store["p"].data.copy()
         store.snap_to_f32()
         assert store.weights_hash() == h1
         np.testing.assert_array_equal(store["p"].data, snapped)
 
     def test_hash_recomputed_only_after_weights_change(self, monkeypatch, tmp_path):
+        """FNV reruns exactly when the float32 serialization changes."""
         real, calls = network.fnv1a64, []
         monkeypatch.setattr(network, "fnv1a64", lambda data: calls.append(1) or real(data))
         model = CodecModel(ModelConfig.toy(), seed=0)
@@ -62,23 +65,46 @@ class TestParamStore:
         for p in params:
             p.grad = np.ones_like(p.data)
         Adam(params).step()
-        model.store.mark_dirty()
         encode_sequence(seq, model)
         assert len(calls) == 2
 
         model.save(tmp_path / "w.json")
         manifest = read_manifest(tmp_path / "w.json")
+        model.store.load(tmp_path / "w.bin", manifest["params"])  # the bytes just hashed
+        encode_sequence(seq, model)
+        assert len(calls) == 2
+
+        (tmp_path / "w.bin").write_bytes(CodecModel(ModelConfig.toy(), seed=1).store.to_f32_bytes())
         model.store.load(tmp_path / "w.bin", manifest["params"])
         encode_sequence(seq, model)
         assert len(calls) == 3
         assert model.store.weights_hash() == real(model.store.to_f32_bytes())
 
+    def test_in_place_edit_changes_stream_hash(self):
+        """An edit that snapping cannot see still renames the weights a stream was coded with."""
+        model = CodecModel(ModelConfig.toy(), seed=0)
+        seq = generate_sequence(width=16, height=16, n_frames=3, seed=0)
+        encode_sequence(seq, model)
+        model.store["gen.conv_out.b"].data += 0.25  # float32-exact: the biases start at 0.5
+        data, _, recons = encode_sequence(seq, model)
+        decoded, _ = decode_sequence(data, model)
+        np.testing.assert_array_equal(decoded, recons)
+        with pytest.raises(UsageError, match="weights hash mismatch"):
+            decode_sequence(data, CodecModel(ModelConfig.toy(), seed=0))
+
+    def test_seed0_toy_weights_hash_pinned(self):
+        """Catches a change to initialisation or serialisation order."""
+        assert CodecModel(ModelConfig.toy(), seed=0).prepare_for_coding() == 0x20354C69C2CB8FC9
+
     def test_save_load_round_trip(self, tmp_path):
+        """The file holds the store rounded through float32; saving leaves the store as it was."""
         store = ParamStore()
         rng = np.random.default_rng(1)
         store.add("x.w", rng.normal(size=(3, 2)))
         store.add("x.b", rng.normal(size=3))
+        before = [t.data.copy() for t in store.tensors()]
         save_weights(store, tmp_path / "w.json", extra={"model": {"kind": "test"}})
+        assert [t.data.tobytes() for t in store.tensors()] == [b.tobytes() for b in before]
         manifest = read_manifest(tmp_path / "w.json")
         assert manifest["model"]["kind"] == "test"
         assert [p["name"] for p in manifest["params"]] == ["x.w", "x.b"]
@@ -87,7 +113,9 @@ class TestParamStore:
         other.add("x.w", np.zeros((3, 2)))
         other.add("x.b", np.zeros(3))
         other.load(tmp_path / "w.bin", manifest["params"])
-        np.testing.assert_array_equal(other["x.w"].data, store["x.w"].data)
+        rounded = [b.astype(np.float32).astype(np.float64) for b in before]
+        assert [t.data.tobytes() for t in other.tensors()] == [r.tobytes() for r in rounded]
+        assert not np.array_equal(other["x.w"].data, store["x.w"].data)
         assert other.weights_hash() == store.weights_hash()
         assert manifest["hash_fnv1a64"] == f"{store.weights_hash():016x}"
 

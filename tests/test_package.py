@@ -1,8 +1,10 @@
 """Every bnvc module imports, every name in its __all__ resolves, every
-bnvc callable that the benchmark's tracer hooks exists, and every
-console script that pyproject.toml declares resolves."""
+bnvc callable that the benchmark's tracer hooks exists, every console
+script that pyproject.toml declares resolves, and tools/corpus.py still
+names its 44 streams."""
 
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -49,3 +51,15 @@ def test_console_scripts_resolve():
         if not ok:
             broken.append(f"{name} = {target}")
     assert not broken, f"pyproject.toml declares scripts whose targets do not resolve: {broken}"
+
+
+def test_corpus_tool_names_its_streams(monkeypatch):
+    """The byte corpus builds its inputs from bnvc and codecbench; a renamed
+    name there fails here, not when two checkouts are next compared."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root))
+    spec = importlib.util.spec_from_file_location("corpus", root / "tools" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    names = [name for name, *_ in corpus.corpus()]
+    assert len(set(names)) == len(names) == 44
