@@ -251,12 +251,9 @@ def decode_frame(
     dpb: Sequence[Frame],
     model: CodecModel,
     policy: DuplicationPolicy,
-    frame_hw: tuple[int, int],
 ) -> Frame:
     """Mirror of encode_frame; requires the encoder's decoded frames, and
     a payload that ends exactly where its last symbol does."""
-    if dpb and dpb[-1].hw != tuple(frame_hw):
-        raise UsageError(f"frame size {frame_hw} does not match references {dpb[-1].hw}")
     coder = Decode(payload)
     with no_grad():
         x_hat, feature, v_hat = inter_step(model, None, list(dpb), policy, coder)
@@ -384,7 +381,7 @@ def decode_sequence(
             dpb.clear()
             frame = intra_frame(model, pixels, index)
         else:  # FRAME_TYPE_INTER; the reader rejects any other type
-            frame = decode_frame(record, index, dpb, model, policy, (h, w))
+            frame = decode_frame(record, index, dpb, model, policy)
         dpb.append(frame)
         out.append(frame.pixels)
         index += 1

@@ -20,19 +20,24 @@ into one three-scale context pyramid:
   1x1 conv per scale.
 
 All modes produce the same output shape contract, so they are drop-in
-ablation variants of each other.
+ablation variants of each other. `MultiRefFusion(store, name, config, rng)`
+takes the mode, n_ref and widths from an already checked `ModelConfig`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ShapeError, UsageError
 from .network import Conv, ParamStore, ResBlock
 from .tensor import Tensor, bilinear_resize, concat_channels, leaky_relu
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 __all__ = [
     "FusionMode",
@@ -107,14 +112,12 @@ class _GridNode:
 
 
 class GridFuse:
-    """The (frame, scale) lattice of the BUTTERFLY upsampling stage."""
+    """The (frame, scale) lattice of the BUTTERFLY stage; MultiRefFusion checks its inputs."""
 
     #: row visit order; row 2 is coarsest. True = oldest-to-newest.
     _ROW_LEFT_TO_RIGHT = {2: True, 1: False, 0: True}
 
     def __init__(self, store: ParamStore, name: str, n_ref: int, channels: tuple[int, int, int], rng):
-        if n_ref < 1:
-            raise UsageError(f"grid needs n_ref >= 1, got {n_ref}")
         self.n_ref = n_ref
         self.channels = channels
         c0, c1, c2 = channels
@@ -126,12 +129,6 @@ class GridFuse:
                 self.nodes[(j, s)] = _GridNode(store, f"{name}.s{s}.f{j}", in_ch[s], out_ch[s], rng)
 
     def __call__(self, pyramids: list[FeaturePyramid]) -> ContextPyramid:
-        if len(pyramids) != self.n_ref:
-            raise UsageError(f"grid built for {self.n_ref} references, got {len(pyramids)}")
-        shapes = pyramids[0].shapes
-        for p in pyramids[1:]:
-            if p.shapes != shapes:
-                raise ShapeError(f"pyramid shape mismatch across frames: {p.shapes} vs {shapes}")
         levels = {0: [p.f0 for p in pyramids], 1: [p.f1 for p in pyramids], 2: [p.f2 for p in pyramids]}
         out: dict[tuple[int, int], Tensor] = {}
         readout: dict[int, Tensor] = {}
@@ -173,18 +170,14 @@ class _SharedUPath:
 class MultiRefFusion:
     """Fusion front-end with the mode baked in at construction."""
 
-    def __init__(self, store: ParamStore, name: str, n_ref: int, channels: tuple[int, int, int], mode: FusionMode, rng):
-        if n_ref < 1:
-            raise UsageError(f"n_ref must be >= 1, got {n_ref}")
-        self.n_ref = n_ref
-        self.channels = channels
-        self.mode = mode
-        c0, c1, c2 = channels
+    def __init__(self, store: ParamStore, name: str, config: ModelConfig, rng):
+        n_ref, mode, channels = config.n_ref, config.fusion, config.ctx_channels
+        self.n_ref, self.mode = n_ref, mode
         if mode is FusionMode.BUTTERFLY:
             self.down = [DownsampleStage(store, f"{name}.down{j}", channels, rng) for j in range(n_ref)]
             self.grid = GridFuse(store, f"{name}.grid", n_ref, channels, rng)
         elif mode is FusionMode.TOGETHER:
-            self.merge_in = Conv(store, f"{name}.merge_in", n_ref * c0, c0, rng=rng)
+            self.merge_in = Conv(store, f"{name}.merge_in", n_ref * channels[0], channels[0], rng=rng)
             self.down_shared = DownsampleStage(store, f"{name}.down", channels, rng)
             self.up_shared = _SharedUPath(store, f"{name}.up", channels, rng)
         else:  # INDEPENDENT

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .fusion import FusionMode, MultiRefFusion
+from .fusion import MultiRefFusion
 from .model import CodecModel, ModelConfig
 from .network import ParamStore
 from .policies import DuplicationPolicy
@@ -99,7 +99,7 @@ def op_checks(seed: int = 0) -> list[GradCheckReport]:
 def butterfly_check(seed: int = 0) -> GradCheckReport:
     """Composed fusion forward on a 4-frame, 8-channel, 16x16 instance."""
     store = ParamStore()
-    fusion = MultiRefFusion(store, "fuse", 4, (8, 12, 16), FusionMode.BUTTERFLY, np.random.default_rng(seed))
+    fusion = MultiRefFusion(store, "fuse", ModelConfig(width=8), np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
     warped = [rng.normal(size=(8, 16, 16)) * 0.5 for _ in range(4)]
     proj = [np.random.default_rng(seed + 50 + s).normal(size=shape) for s, shape in enumerate([(8, 16, 16), (12, 8, 8), (16, 4, 4)])]
@@ -133,16 +133,7 @@ def pipeline_check(seed: int = 0, per_param: int = 3) -> GradCheckReport:
     """
     from .training import rollout_loss
 
-    config = ModelConfig(
-        n_ref=4,
-        fusion=FusionMode.BUTTERFLY,
-        ctx_channels=(4, 6, 8),
-        mv_latent=4,
-        mv_hyper=2,
-        ctx_latent=6,
-        ctx_hyper=3,
-    )
-    model = CodecModel(config, seed=seed)
+    model = CodecModel(ModelConfig(width=4), seed=seed)
     bias_rng = np.random.default_rng(seed + 5)
     for name in model.store.names():
         if name.endswith(".b"):

@@ -6,6 +6,9 @@ Latent coding is mean-removed: the hyper path predicts (mu, sigma) per
 latent element, the coded symbol is round(y - mu), and reconstruction
 adds mu back. Scales are parameterized as exp(clamped log-scale) so
 they always live in [SCALE_MIN, SCALE_MAX].
+
+`ModelConfig` is (n_ref, fusion, width): every layer width is a fixed
+multiple of c0 = width, and its constructor checks every architecture rule.
 """
 
 from __future__ import annotations
@@ -43,51 +46,49 @@ _LOG_SCALE_MAX = float(np.log(SCALE_MAX))
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture knobs; everything else derives from these."""
+    """Architecture knobs; every layer width derives from `width` = c0.
+
+    The width family is c0 x (context (1, 3/2, 2); motion latent 1;
+    motion hyper 1/2; ctx latent 3/2; ctx hyper 3/4). Construction raises
+    `UsageError` unless `fusion` is a `FusionMode`, `n_ref` is an int in
+    1..255 (the header's u8) and `width` is a positive multiple of 4.
+    """
 
     n_ref: int = 4
     fusion: FusionMode = FusionMode.BUTTERFLY
-    ctx_channels: tuple[int, int, int] = (16, 24, 32)
-    mv_latent: int = 16
-    mv_hyper: int = 8
-    ctx_latent: int = 24
-    ctx_hyper: int = 12
+    width: int = 16
+
+    def __post_init__(self):
+        if not isinstance(self.fusion, FusionMode):
+            raise UsageError(f"fusion must be a FusionMode, got {self.fusion!r}")
+        if not isinstance(self.n_ref, int) or not 1 <= self.n_ref <= 255:
+            raise UsageError(f"n_ref must be an int in 1..255, got {self.n_ref!r}")
+        if not isinstance(self.width, int) or self.width <= 0 or self.width % 4:
+            raise UsageError(f"width must be a positive multiple of 4, got {self.width!r}")
+
+    @property
+    def ctx_channels(self) -> tuple[int, int, int]:
+        return self.width, self.width * 3 // 2, self.width * 2
+
+    @property
+    def mv_hyper(self) -> int:
+        return self.width // 2
+
+    @property
+    def ctx_hyper(self) -> int:
+        return self.width * 3 // 4
 
     @classmethod
     def toy(cls, n_ref: int = 4, fusion: FusionMode = FusionMode.BUTTERFLY) -> "ModelConfig":
         """Small widths for training experiments and fast tests."""
-        return cls(
-            n_ref=n_ref,
-            fusion=fusion,
-            ctx_channels=(8, 12, 16),
-            mv_latent=8,
-            mv_hyper=4,
-            ctx_latent=12,
-            ctx_hyper=6,
-        )
+        return cls(n_ref, fusion, width=8)
 
     def to_manifest(self) -> dict:
-        return {
-            "n_ref": self.n_ref,
-            "fusion": self.fusion.value,
-            "ctx_channels": list(self.ctx_channels),
-            "mv_latent": self.mv_latent,
-            "mv_hyper": self.mv_hyper,
-            "ctx_latent": self.ctx_latent,
-            "ctx_hyper": self.ctx_hyper,
-        }
+        return {"n_ref": self.n_ref, "fusion": self.fusion.value, "width": self.width}
 
     @classmethod
     def from_manifest(cls, m: dict) -> "ModelConfig":
-        return cls(
-            n_ref=int(m["n_ref"]),
-            fusion=FusionMode(m["fusion"]),
-            ctx_channels=tuple(int(c) for c in m["ctx_channels"]),
-            mv_latent=int(m["mv_latent"]),
-            mv_hyper=int(m["mv_hyper"]),
-            ctx_latent=int(m["ctx_latent"]),
-            ctx_hyper=int(m["ctx_hyper"]),
-        )
+        return cls(**{**m, "fusion": FusionMode(m["fusion"])})
 
 
 class CodecModel:
@@ -98,10 +99,7 @@ class CodecModel:
         self.store = ParamStore()
         rng = np.random.default_rng(seed)
         c0, c1, c2 = config.ctx_channels
-        m = config.mv_latent
-        hm = config.mv_hyper
-        lc = config.ctx_latent
-        hc = config.ctx_hyper
+        m, hm, lc, hc = c0, config.mv_hyper, c1, config.ctx_hyper  # motion and ctx latent/hyper widths
 
         # feature extractor for frames that lack a stored feature
         self.feat1 = Conv(self.store, "feat.conv1", 3, c0, rng=rng)
@@ -121,7 +119,7 @@ class CodecModel:
         self.store.add("mv_prior.log_scale", np.zeros((hm, 1, 1)))
 
         # multi-reference fusion front-end
-        self.fusion = MultiRefFusion(self.store, "fusion", config.n_ref, config.ctx_channels, config.fusion, rng)
+        self.fusion = MultiRefFusion(self.store, "fusion", config, rng)
 
         # contextual autoencoder with context injected at each scale
         self.ctx_enc1 = Conv(self.store, "ctx_enc.conv1", 3 + c0, c1, stride=2, rng=rng)

@@ -134,12 +134,11 @@ class Conv:
         c_out: int,
         k: int = 3,
         stride: int = 1,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
         init_scale: float = 1.0,
         bias_fill: float = 0.0,
     ):
-        if rng is None:
-            raise UsageError("Conv needs an rng for deterministic init")
         self.stride = stride
         std = init_scale * np.sqrt(2.0 / (c_in * k * k))
         self.w = store.add(f"{name}.w", rng.normal(0.0, std, size=(c_out, c_in, k, k)))

@@ -5,6 +5,7 @@ frame and sequence round trips, corruption detection, and refusal paths.
 import json
 import zlib
 from collections import Counter, deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,12 +37,17 @@ from bnvc.tensor import Tensor, no_grad
 NEAR = DuplicationPolicy.NEAR
 FURTHER = DuplicationPolicy.FURTHER
 
-TINY = ModelConfig(ctx_channels=(8, 12, 16), mv_latent=8, mv_hyper=4, ctx_latent=12, ctx_hyper=6)
+TINY = ModelConfig.toy()
+# the "model" section of a toy weights manifest before the config became
+# (n_ref, fusion, width): five width fields, no "width"
+OLD_TOY_MODEL_SECTION = {
+    "n_ref": 4, "fusion": "butterfly", "ctx_channels": [8, 12, 16], "mv_hyper": 4, "ctx_hyper": 6,
+    **{f"{path}_latent": c for path, c in (("mv", 8), ("ctx", 12))},
+}
 
 
 def _model(seed=0, **kw):
-    cfg = ModelConfig(**{**TINY.__dict__, **kw}) if kw else TINY
-    return CodecModel(cfg, seed=seed)
+    return CodecModel(replace(TINY, **kw), seed=seed)
 
 
 def _frame(index, seed=None, h=32, w=32):
@@ -312,7 +318,7 @@ class TestFrameRoundTrip:
         dpb_dec.append(first_dec)
         for i in range(1, 5):
             payload, recon = encode_frame(seq[i], i, dpb_enc, model, NEAR)
-            decoded = decode_frame(payload, i, dpb_dec, model, NEAR, (32, 32))
+            decoded = decode_frame(payload, i, dpb_dec, model, NEAR)
             assert recon.pixels.tobytes() == decoded.pixels.tobytes()
             assert recon.feature.data.tobytes() == decoded.feature.data.tobytes()
             assert recon.flow.data.tobytes() == decoded.flow.data.tobytes()
@@ -337,7 +343,7 @@ class TestFrameRoundTrip:
         with pytest.raises(UsageError):
             encode_frame(_sequence()[1], 1, deque(maxlen=4), model, NEAR)
         with pytest.raises(UsageError):
-            decode_frame(b"", 1, deque(maxlen=4), model, NEAR, (32, 32))
+            decode_frame(b"", 1, deque(maxlen=4), model, NEAR)
 
     def test_indivisible_frame_rejected(self):
         model = _model()
@@ -471,7 +477,7 @@ class TestSequenceRoundTrip:
         model_b = CodecModel(cfg_b, seed=0)
         seq = _sequence(seed=18, n=3)
         data, _, _ = encode_sequence(seq, model_b, NEAR)
-        cfg_t = ModelConfig(**{**TINY.__dict__, "fusion": FusionMode.TOGETHER})
+        cfg_t = replace(TINY, fusion=FusionMode.TOGETHER)
         model_t = CodecModel(cfg_t, seed=0)
         # weights hash differs too; fake it by patching the header first byte?
         with pytest.raises(UsageError):
@@ -677,9 +683,10 @@ class TestSaveLoadRoundTrip:
             lambda manifest, bin_path: manifest.pop("model"),
             lambda manifest, bin_path: manifest["model"].update(fusion=3),
             lambda manifest, bin_path: manifest.update(params="x"),
-            lambda manifest, bin_path: manifest["model"].update(ctx_channels=[8, 12]),
+            lambda manifest, bin_path: manifest["model"].update(width=6),
+            lambda manifest, bin_path: manifest.update(model=OLD_TOY_MODEL_SECTION),
         ],
-        ids=["missing_bin", "no_model_entry", "fusion_not_a_name", "params_not_a_list", "two_context_levels"],
+        ids=["missing_bin", "no_model_entry", "fusion_not_a_name", "params_not_a_list", "width_6", "old_7_keys"],
     )
     def test_malformed_weights_files_are_usage_errors(self, tmp_path, break_files):
         path = tmp_path / "w.json"
@@ -691,7 +698,7 @@ class TestSaveLoadRoundTrip:
             CodecModel.load(path)
 
     def test_manifest_carries_config(self, tmp_path):
-        cfg = ModelConfig(**{**TINY.__dict__, "fusion": FusionMode.INDEPENDENT, "n_ref": 2})
+        cfg = replace(TINY, fusion=FusionMode.INDEPENDENT, n_ref=2)
         model = CodecModel(cfg, seed=1)
         path = tmp_path / "w.json"
         model.save(path)

@@ -12,16 +12,16 @@ import pytest
 from bnvc.bitstream import StreamHeader
 from bnvc.errors import ShapeError, UsageError
 from bnvc.fusion import ContextPyramid, FusionMode, MultiRefFusion
+from bnvc.model import ModelConfig
 from bnvc.network import ParamStore
 from bnvc.policies import DuplicationPolicy
 from bnvc.tensor import Tensor, no_grad, sum_all
 
-CH = (16, 24, 32)
 
-
-def _fusion(mode, n_ref=4, channels=CH, seed=0):
+def _fusion(mode, n_ref=4, width=16, seed=0):
+    """Context widths (width, 3/2 width, 2 width): (16, 24, 32) by default."""
     store = ParamStore()
-    fusion = MultiRefFusion(store, "fuse", n_ref, channels, mode, np.random.default_rng(seed))
+    fusion = MultiRefFusion(store, "fuse", ModelConfig(n_ref, mode, width), np.random.default_rng(seed))
     return fusion, store
 
 
@@ -91,7 +91,7 @@ class TestGridFuse:
     @pytest.mark.parametrize("mode", list(FusionMode))
     def test_every_input_column_reaches_output(self, mode):
         # gradient of sum(c0) with respect to each frame's full-res level
-        fusion, _ = _fusion(mode, channels=(8, 12, 16))
+        fusion, _ = _fusion(mode, width=8)
         rng = np.random.default_rng(3)
         warped = [Tensor(rng.normal(size=(8, 16, 16)), requires_grad=True) for _ in range(4)]
         ctx = fusion(warped)
@@ -185,7 +185,7 @@ class TestButterflyGradients:
         # check a sample of weight gradients by promoting the live store
         # tensors and differencing the loss directly
         store = ParamStore()
-        fusion = MultiRefFusion(store, "fuse", 2, (4, 6, 8), FusionMode.BUTTERFLY, np.random.default_rng(3))
+        fusion = MultiRefFusion(store, "fuse", ModelConfig(n_ref=2, width=4), np.random.default_rng(3))
         rng = np.random.default_rng(4)
         warped = [Tensor(rng.normal(size=(4, 8, 8))) for _ in range(2)]
         names = ["fuse.grid.s0.f1.fuse.w", "fuse.down0.res0.conv1.w", "fuse.grid.s2.f0.refine.conv2.w"]

@@ -96,6 +96,10 @@ class TestParamStore:
         """Catches a change to initialisation or serialisation order."""
         assert CodecModel(ModelConfig.toy(), seed=0).prepare_for_coding() == 0x20354C69C2CB8FC9
 
+    def test_seed0_default_weights_hash_pinned(self):
+        """The default widths (width 16) build the same weights as before the one-width config."""
+        assert CodecModel(ModelConfig(), seed=0).prepare_for_coding() == 0xC9291BA738936D11
+
     def test_save_load_round_trip(self, tmp_path):
         """The file holds the store rounded through float32; saving leaves the store as it was."""
         store = ParamStore()

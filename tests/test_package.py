@@ -62,4 +62,4 @@ def test_corpus_tool_names_its_streams(monkeypatch):
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
     names = [name for name, *_ in corpus.corpus()]
-    assert len(set(names)) == len(names) == 44
+    assert len(set(names)) == len(names) == 48

@@ -3,11 +3,13 @@
     python3 tools/corpus.py > corpus.json
 
 Run from anywhere; bnvc is imported from this checkout's src/ and the
-benchmark inputs from its codecbench/. The corpus holds 44 streams:
+benchmark inputs from its codecbench/. The corpus holds 48 streams:
 
 * the toy model's seed-0 weights in each of the 3 fusion modes, under
   both duplication policies, coding the 5-frame synth sequence of seed 0
   at 32x32, 48x40 and 36x44 (width x height): 18 streams;
+* the toy butterfly model's seed-0 weights at n_ref 1 and 2, under both
+  policies, coding the same sequence at 32x32: 4 streams;
 * the long128_butterfly input and the 12 clips64_together clips, each
   with its workload's model and policy, at seeds 41 and 42: 26 streams.
 
@@ -29,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOY_SIZES = ((32, 32), (48, 40), (36, 44))  # (width, height)
+FEW_REFS = (1, 2)
 WORKLOAD_SEEDS = (41, 42)
 
 
@@ -46,6 +49,10 @@ def corpus():
             for w, h in TOY_SIZES:
                 frames = generate_sequence(w, h, 5, seed=0)
                 yield f"toy_{fusion.value}_{policy.name}_{w}x{h}", frames, model, policy
+    for n_ref in FEW_REFS:
+        model = CodecModel(ModelConfig.toy(n_ref=n_ref), seed=0)
+        for policy in DuplicationPolicy:
+            yield f"toy_butterfly_nref{n_ref}_{policy.name}_32x32", generate_sequence(32, 32, 5, seed=0), model, policy
     long128, clips64 = Long128Butterfly(), Clips64Together()
     long128_model, clips64_model = long128.build(), clips64.build()
     for seed in WORKLOAD_SEEDS:
