@@ -32,7 +32,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from .errors import CorruptStreamError, UsageError
+from .errors import CorruptStreamError, UsageError, check_int
 from .fusion import FusionMode
 from .model import LAMBDA_VALUES, CodecModel
 from .policies import DuplicationPolicy
@@ -70,15 +70,13 @@ class StreamHeader:
             raise UsageError(f"policy must be a DuplicationPolicy, got {self.policy!r}")
         if not isinstance(self.fusion, FusionMode):
             raise UsageError(f"fusion must be a FusionMode, got {self.fusion!r}")
-        CodecModel.latent_hw(self.height, self.width)
-        if max(self.height, self.width) > _U16_MAX:
-            raise UsageError(f"frame size must be at most {_U16_MAX} per side, got {self.height}x{self.width}")
-        if not 1 <= self.n_ref <= 0xFF:
-            raise UsageError(f"reference count must be in 1..255, got {self.n_ref}")
-        if not 1 <= self.intra_period <= _U16_MAX:
-            raise UsageError(f"intra period must be in 1..{_U16_MAX}, got {self.intra_period}")
-        if not 0 <= self.lambda_index < len(LAMBDA_VALUES):
-            raise UsageError(f"lambda index must be in 0..{len(LAMBDA_VALUES) - 1}, got {self.lambda_index}")
+        check_int("frame size (height)", self.height, 0, _U16_MAX)
+        check_int("frame size (width)", self.width, 0, _U16_MAX)
+        CodecModel.latent_hw(self.height, self.width)  # refuses a side of 0 or not a multiple of 4
+        check_int("reference count", self.n_ref, 1, 0xFF)
+        check_int("intra period", self.intra_period, 1, _U16_MAX)
+        check_int("lambda index", self.lambda_index, 0, len(LAMBDA_VALUES) - 1)
+        check_int("weights hash", self.weights_hash, 0, 2**64 - 1)
 
     def intra_at(self, index: int) -> bool:
         """Whether frame `index` is coded intra: the schedule of both encoder and decoder."""
@@ -138,6 +136,8 @@ class BitstreamWriter:
 
 class BitstreamReader:
     def __init__(self, data: bytes):
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            raise UsageError(f"a stream must be bytes-like, got {type(data).__name__}")
         self.data = data
         self.header = StreamHeader.unpack(data)
         self.pos = _HEADER_SIZE

@@ -33,7 +33,7 @@ from .bitstream import (
     StreamHeader,
 )
 from .entropy import DecoderState, TableSet, build_logistic_cdf_rows, gaussian_tables, range_decode, range_encode
-from .errors import CorruptStreamError, UsageError
+from .errors import CorruptStreamError, UsageError, check_frames
 from .metrics import psnr
 from .model import CodecModel
 from .motion import compose_flows, estimate_motion
@@ -67,8 +67,7 @@ class Frame:
     flow: Optional[Tensor] = None
 
     def __post_init__(self):
-        if self.pixels.dtype != np.uint8 or self.pixels.ndim != 3 or self.pixels.shape[0] != 3:
-            raise UsageError(f"frame pixels must be uint8 (3, H, W), got {self.pixels.dtype} {self.pixels.shape}")
+        self.pixels = check_frames("frame pixels", self.pixels, 3)
 
     @property
     def hw(self) -> tuple[int, int]:
@@ -294,12 +293,10 @@ def encode_sequence(
     intra_period: int = 32,
 ) -> tuple[bytes, EncodeStats, np.ndarray]:
     """Encode uint8 frames (N, 3, H, W); returns (stream, stats, recons)."""
-    frames = np.asarray(frames)
-    if frames.ndim != 4 or frames.shape[1] != 3 or frames.dtype != np.uint8:
-        raise UsageError(f"sequence must be uint8 (N, 3, H, W), got {frames.dtype} {frames.shape}")
+    frames = check_frames("sequence", frames, 4)
+    if not isinstance(model, CodecModel):
+        raise UsageError(f"model must be a CodecModel, got {type(model).__name__}")
     n, _, h, w = frames.shape
-    if n < 1:
-        raise UsageError("sequence must hold at least one frame")
     # the header refuses a field no decoder accepts before the weights are snapped
     header = StreamHeader(
         width=w,
@@ -348,6 +345,8 @@ def decode_sequence(
     expected_policy: Optional[DuplicationPolicy] = None,
 ) -> tuple[np.ndarray, StreamHeader]:
     """Decode a bitstream; refuses mismatched weights/config/policy."""
+    if not isinstance(model, CodecModel):
+        raise UsageError(f"model must be a CodecModel, got {type(model).__name__}")
     reader = BitstreamReader(data)
     header = reader.header
     h, w, policy = header.height, header.width, header.policy

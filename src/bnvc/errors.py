@@ -1,8 +1,15 @@
-"""Exception classes shared across the package.
+"""Exception classes shared across the package, and the two caller-input
+rules: `check_int` (an int, not a bool, within bounds) for the integer fields
+of `ModelConfig`, `StreamHeader`, `TrainingConfig`, `LossModelParams`,
+`CodecModel`'s seed and `pad_references`; `check_frames` (uint8 planar RGB,
+no empty axis) for `codec.Frame`, `encode_sequence`, `train_toy` and the
+`frameio` writers.
 
 The CLI maps UsageError to exit code 1 and CorruptStreamError to exit
 code 2; everything else is a bug.
 """
+
+import numpy as np
 
 
 class BnvcError(Exception):
@@ -20,3 +27,22 @@ class ShapeError(UsageError):
 
 class CorruptStreamError(BnvcError, RuntimeError):
     """Bitstream or payload failed an integrity or framing check."""
+
+
+def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """`value` if it is an int, not a bool, in lo..hi (hi None: no upper bound); else UsageError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo or (hi is not None and value > hi):
+        bounds = f"at least {lo}" + ("" if hi is None else f" and at most {hi}")
+        raise UsageError(f"{name} must be an int {bounds}, got {value!r}")
+    return value
+
+
+def check_frames(name: str, value, ndim: int) -> np.ndarray:
+    """`value` as uint8 planar RGB, (3, H, W) if `ndim` is 3 or (N, 3, H, W) if 4, no empty axis; else UsageError."""
+    frames = np.asarray(value)
+    if frames.dtype != np.uint8 or frames.ndim != ndim or frames.shape[-3] != 3:
+        layout = "(3, H, W)" if ndim == 3 else "(N, 3, H, W)"
+        raise UsageError(f"{name} must be uint8 {layout}, got {frames.dtype} {frames.shape}")
+    if 0 in frames.shape:
+        raise UsageError(f"{name} must hold at least one frame of at least one pixel, got {frames.shape}")
+    return frames

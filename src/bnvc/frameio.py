@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptStreamError, UsageError
+from .errors import CorruptStreamError, UsageError, check_frames
 
 __all__ = [
     "read_ppm",
@@ -27,9 +27,7 @@ __all__ = [
 
 
 def write_ppm(path: str | Path, frame: np.ndarray) -> None:
-    frame = np.asarray(frame)
-    if frame.ndim != 3 or frame.shape[0] != 3 or frame.dtype != np.uint8:
-        raise UsageError(f"frame must be uint8 (3, H, W), got {frame.dtype} {frame.shape}")
+    frame = check_frames("frame", frame, 3)
     _, h, w = frame.shape
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
     Path(path).write_bytes(header + frame.transpose(1, 2, 0).tobytes())
@@ -71,9 +69,7 @@ def read_sequence_dir(path: str | Path) -> np.ndarray:
 
 def write_raw_sequence(path: str | Path, frames: np.ndarray) -> None:
     """Raw planar RGB frames back to back, plus a JSON sidecar."""
-    frames = np.asarray(frames)
-    if frames.ndim != 4 or frames.shape[1] != 3 or frames.dtype != np.uint8:
-        raise UsageError(f"sequence must be uint8 (N, 3, H, W), got {frames.dtype} {frames.shape}")
+    frames = check_frames("sequence", frames, 4)
     path = Path(path)
     path.write_bytes(frames.tobytes())
     sidecar = {"width": int(frames.shape[3]), "height": int(frames.shape[2]), "frame_count": int(frames.shape[0])}

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import UsageError
+from .errors import UsageError, check_int
 from .policies import DuplicationPolicy, pad_references
 
 __all__ = [
@@ -65,10 +65,8 @@ class LossModelParams:
             raise UsageError(f"beta must lie in (0, 1), got {self.beta}")
         if not self.alpha > 0.0:
             raise UsageError(f"alpha must be > 0, got {self.alpha}")
-        if self.n_ref < 1:
-            raise UsageError(f"n_ref must be >= 1, got {self.n_ref}")
-        if self.T < 1:
-            raise UsageError(f"T must be >= 1, got {self.T}")
+        check_int("n_ref", self.n_ref, 1)
+        check_int("T", self.T, 1)
 
 
 def information_decay(i0: float, beta: float, delta: int) -> float:

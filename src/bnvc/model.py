@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .entropy import MIN_PROB, SCALE_MAX, SCALE_MIN
-from .errors import UsageError
+from .errors import UsageError, check_int
 from .fusion import ContextPyramid, FusionMode, MultiRefFusion
 from .network import Conv, ParamStore, ResBlock, read_manifest, save_weights
 from .tensor import (
@@ -61,9 +61,8 @@ class ModelConfig:
     def __post_init__(self):
         if not isinstance(self.fusion, FusionMode):
             raise UsageError(f"fusion must be a FusionMode, got {self.fusion!r}")
-        if not isinstance(self.n_ref, int) or not 1 <= self.n_ref <= 255:
-            raise UsageError(f"n_ref must be an int in 1..255, got {self.n_ref!r}")
-        if not isinstance(self.width, int) or self.width <= 0 or self.width % 4:
+        check_int("n_ref", self.n_ref, 1, 255)
+        if check_int("width", self.width, 4) % 4:
             raise UsageError(f"width must be a positive multiple of 4, got {self.width!r}")
 
     @property
@@ -97,7 +96,7 @@ class CodecModel:
     def __init__(self, config: ModelConfig = ModelConfig(), seed: int = 0):
         self.config = config
         self.store = ParamStore()
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(check_int("seed", seed, 0))
         c0, c1, c2 = config.ctx_channels
         m, hm, lc, hc = c0, config.mv_hyper, c1, config.ctx_hyper  # motion and ctx latent/hyper widths
 

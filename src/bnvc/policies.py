@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Sequence, TypeVar
 
-from .errors import UsageError
+from .errors import UsageError, check_int
 
 T = TypeVar("T")
 
@@ -31,8 +31,7 @@ def pad_references(items: Sequence[T], n: int, policy: DuplicationPolicy) -> lis
     """
     if not isinstance(policy, DuplicationPolicy):
         raise UsageError(f"policy must be a DuplicationPolicy, got {policy!r}")
-    if n < 1:
-        raise UsageError(f"reference count must be >= 1, got {n}")
+    check_int("reference count", n, 1)
     if not items:
         raise UsageError("reference list is empty")
     items = list(items)

@@ -115,29 +115,14 @@ class Tensor:
     def __add__(self, other):
         return _add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return _add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return _add(self, _neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return _add(_as_tensor(other), _neg(self))
 
     def __mul__(self, other):
         return _mul(self, _as_tensor(other))
 
-    def __rmul__(self, other):
-        return _mul(_as_tensor(other), self)
-
     def __truediv__(self, other):
         return _div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return _div(_as_tensor(other), self)
-
-    def __neg__(self):
-        return _neg(self)
 
     def backward(self) -> None:
         backward(self)

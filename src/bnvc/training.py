@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .codec import Frame, Noise, encode_sequence, inter_step, pixels_to_tensor, to_uint8
-from .errors import BnvcError, UsageError
+from .errors import BnvcError, UsageError, check_frames, check_int
 from .model import LAMBDA_VALUES, CodecModel
 from .policies import DuplicationPolicy
 from .tensor import Tensor, mean_all
@@ -99,10 +99,10 @@ class TrainingConfig:
     lr: float = 1e-3
 
     def __post_init__(self):
-        if not 0 <= self.lambda_index < len(LAMBDA_VALUES):
-            raise UsageError(f"lambda index must be in 0..{len(LAMBDA_VALUES) - 1}, got {self.lambda_index}")
-        if self.steps < 0 or self.rollout < 1:
-            raise UsageError("steps must be >= 0 and rollout >= 1")
+        check_int("lambda index", self.lambda_index, 0, len(LAMBDA_VALUES) - 1)
+        check_int("steps", self.steps, 0)
+        check_int("seed", self.seed, 0)
+        check_int("rollout", self.rollout, 1)
 
     @property
     def lam(self) -> float:
@@ -164,10 +164,8 @@ def train_toy(model: CodecModel, dataset: Sequence[np.ndarray], config: Training
     if not dataset:
         raise UsageError("training dataset is empty")
     for seq in dataset:
-        if seq.shape[0] < config.rollout + 1:
-            raise UsageError(
-                f"sequences must hold at least rollout+1={config.rollout + 1} frames, got {seq.shape[0]}"
-            )
+        if len(check_frames("training sequence", seq, 4)) < config.rollout + 1:
+            raise UsageError(f"sequences must hold at least rollout+1={config.rollout + 1} frames, got {len(seq)}")
     rng = np.random.default_rng(config.seed)
     params = model.store.tensors()
     model.store.set_requires_grad(True)

@@ -62,8 +62,14 @@ class TestHeader:
             ("n_ref", 256, "reference count"),
             ("intra_period", 0, "intra period"),
             ("intra_period", 65536, "intra period"),
+            ("intra_period", True, "intra period"),
+            ("intra_period", 1.5, "intra period"),
             ("lambda_index", 4, "lambda index"),
             ("lambda_index", -1, "lambda index"),
+            ("lambda_index", "2", "lambda index"),
+            ("lambda_index", 2.0, "lambda index"),
+            ("weights_hash", 2**64, "weights hash"),
+            ("weights_hash", -1, "weights hash"),
             ("policy", "near", "DuplicationPolicy"),
             ("policy", FusionMode.BUTTERFLY, "DuplicationPolicy"),
             ("fusion", "butterfly", "FusionMode"),

@@ -1,0 +1,59 @@
+"""Caller mistakes at the public entry points raise UsageError, never a raw
+numpy or Python exception, and never code a stream the caller did not ask
+for. Every bytes-like stream still decodes."""
+
+import numpy as np
+import pytest
+
+from bnvc.codec import decode_sequence, encode_sequence
+from bnvc.errors import UsageError
+from bnvc.model import CodecModel, ModelConfig
+from bnvc.policies import DuplicationPolicy
+from bnvc.synth import generate_sequence
+from bnvc.training import TrainingConfig, train_toy
+
+NEAR = DuplicationPolicy.NEAR
+
+
+@pytest.fixture(scope="module")
+def coded():
+    model = CodecModel(ModelConfig.toy(), seed=0)
+    frames = generate_sequence(32, 32, 3, seed=0)
+    data, _, recons = encode_sequence(frames, model, NEAR)
+    return model, frames, data, recons
+
+
+MISTAKES = {
+    "encode_lambda_index_str": lambda m, f, d: encode_sequence(f, m, NEAR, lambda_index="2"),
+    "encode_lambda_index_float": lambda m, f, d: encode_sequence(f, m, NEAR, lambda_index=2.0),
+    "encode_intra_period_float": lambda m, f, d: encode_sequence(f, m, NEAR, intra_period=1.5),
+    # True == 1, so it was taken as a period of 1: every frame intra
+    "encode_intra_period_bool": lambda m, f, d: encode_sequence(f, m, NEAR, intra_period=True),
+    "encode_model_none": lambda m, f, d: encode_sequence(f, None, NEAR),
+    "decode_model_none": lambda m, f, d: decode_sequence(d, None),
+    "decode_stream_none": lambda m, f, d: decode_sequence(None, m),
+    "decode_stream_str": lambda m, f, d: decode_sequence("abc", m),
+    "training_lambda_index_str": lambda m, f, d: TrainingConfig(lambda_index="1"),
+    "training_steps_float": lambda m, f, d: TrainingConfig(steps=1.5),
+    "training_rollout_float": lambda m, f, d: TrainingConfig(rollout=2.0),
+    "training_seed_negative": lambda m, f, d: TrainingConfig(seed=-1),
+    "training_seed_float": lambda m, f, d: TrainingConfig(seed=1.5),
+    "train_toy_3d_sequence": lambda m, f, d: train_toy(
+        CodecModel(ModelConfig.toy()), [np.zeros((6, 32, 32), np.uint8)], TrainingConfig(steps=1)
+    ),
+    "model_seed_negative": lambda m, f, d: CodecModel(ModelConfig.toy(), seed=-1),
+}
+
+
+@pytest.mark.parametrize("call", MISTAKES.values(), ids=MISTAKES.keys())
+def test_caller_mistake_is_usage_error(coded, call):
+    model, frames, data, _ = coded
+    with pytest.raises(UsageError):
+        call(model, frames, data)
+
+
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+def test_bytes_like_streams_decode_to_the_recons(coded, wrap):
+    model, _, data, recons = coded
+    decoded, _ = decode_sequence(wrap(data), model)
+    np.testing.assert_array_equal(decoded, recons)
