@@ -187,12 +187,18 @@ def _build_cdf_rows(means, scales, cdf_fn) -> list[QuantizedCdf]:
     sigmas = clamp_scale(scales).reshape(-1)
     lo_arr, hi_arr = row_support_bounds(means, sigmas)
     widths = hi_arr - lo_arr + 1
+    groups = [np.nonzero(widths == w)[0] for w in np.unique(widths)]
+    zs = []
+    for rows in groups:
+        edges_int = lo_arr[rows, None] + np.arange(widths[rows[0]] + 1, dtype=np.int64)
+        zs.append((edges_int - 0.5 - means[rows, None]) / sigmas[rows, None])
+    # cdf_fn is elementwise, so one call covers the edges of every width
+    cdf = cdf_fn(np.concatenate([z.ravel() for z in zs])) if zs else None
     out: list[QuantizedCdf | None] = [None] * len(means)
-    for w in np.unique(widths):
-        rows = np.nonzero(widths == w)[0]
-        edges_int = lo_arr[rows, None] + np.arange(w + 1, dtype=np.int64)[None, :]
-        z = (edges_int - 0.5 - means[rows, None]) / sigmas[rows, None]
-        freq = _quantize_rows(_bin_probs_from_cdf_edges(cdf_fn(z)))
+    start = 0
+    for rows, z in zip(groups, zs):
+        freq = _quantize_rows(_bin_probs_from_cdf_edges(cdf[start : start + z.size].reshape(z.shape)))
+        start += z.size
         cums = np.zeros((freq.shape[0], freq.shape[1] + 1), dtype=np.int64)
         np.cumsum(freq, axis=1, out=cums[:, 1:])
         for j, r in enumerate(rows):

@@ -39,7 +39,10 @@ def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
 
 def check_frames(name: str, value, ndim: int) -> np.ndarray:
     """`value` as uint8 planar RGB, (3, H, W) if `ndim` is 3 or (N, 3, H, W) if 4, no empty axis; else UsageError."""
-    frames = np.asarray(value)
+    try:
+        frames = np.asarray(value)
+    except ValueError as err:  # a ragged list of frames
+        raise UsageError(f"{name} must be one array of equal-shape frames: {err}") from None
     if frames.dtype != np.uint8 or frames.ndim != ndim or frames.shape[-3] != 3:
         layout = "(3, H, W)" if ndim == 3 else "(N, 3, H, W)"
         raise UsageError(f"{name} must be uint8 {layout}, got {frames.dtype} {frames.shape}")

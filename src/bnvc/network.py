@@ -4,9 +4,12 @@ deterministic initialization, and the weights file format.
 Weights persist as a flat little-endian float32 binary plus a JSON
 manifest listing parameter names and shapes in load order. A 64-bit
 FNV-1a hash of that binary, taken of the current values, identifies the
-weights in bitstream headers. Computation runs in float64; parameters
-are "snapped" through float32 before coding so that the values used for
-coding are exactly the values a decoder will load from the file.
+weights in bitstream headers; `fnv1a64` evaluates the per-byte FNV
+recurrence as chunked numpy prefix scans (Blelloch, "Prefix sums and
+their applications", CMU-CS-90-190), exact for every input. Computation
+runs in float64; parameters are "snapped" through float32 before coding
+so that the values used for coding are exactly the values a decoder will
+load from the file.
 """
 
 from __future__ import annotations
@@ -24,12 +27,65 @@ __all__ = ["ParamStore", "Conv", "ResBlock", "fnv1a64"]
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64 = (1 << 64) - 1
+_FNV_CHUNK = 1 << 14  # bytes per scan; keeps the transients of one chunk under 1 MB
+_FNV_POWERS = np.multiply.accumulate(np.full(_FNV_CHUNK, _FNV_PRIME, dtype=np.uint64))[::-1].copy()  # P^CHUNK .. P^1
+# uint8 and uint64 scalars keep every step in its dtype under numpy 1.x and 2.x casting rules alike
+_FNV_PRIME_LOW = np.uint8(_FNV_PRIME & 0xFF)
+_FNV_BITS = tuple((np.uint8(1 << k), np.uint8((1 << k) - 1)) for k in range(8))  # (bit k, bits below k)
+_WORD_SHIFTS = tuple(np.uint64(s) for s in (8, 16, 32))
+_TOP_BYTE = np.uint64(56)
+_EVERY_BYTE = np.uint64(0x0101010101010101)
+
+
+def _prefix_xor(flips: np.ndarray) -> None:
+    """Replace each byte of `flips` (uint8, whole 8-byte words) with the XOR
+    of it and every byte before it: three shift-XORs within each
+    little-endian word, then one `bitwise_xor.accumulate` over the words'
+    last bytes carries each word's total into the words after it."""
+    words = flips.view("<u8")
+    for shift in _WORD_SHIFTS:
+        words ^= words << shift
+    carry = np.bitwise_xor.accumulate(words >> _TOP_BYTE)
+    words[1:] ^= carry[:-1] * _EVERY_BYTE
 
 
 def fnv1a64(data: bytes) -> int:
+    """FNV-1a 64 of a bytes-like `data`: h = ((h ^ b) * P) mod 2^64 per byte,
+    from the offset basis (Fowler, Noll, Vo).
+
+    Evaluated as prefix-XOR scans over chunks of at most `_FNV_CHUNK`
+    bytes, with the same value as the per-byte loop for every input:
+
+    * The state's low byte l evolves on its own, l' = ((l ^ b) * P) mod
+      256. P is odd, so bit k of l' is bit k of (((l ^ b) mod 2^k) * P)
+      XOR bit k of b XOR bit k of l. Once the bits below k are known at
+      every position, bit k is a prefix XOR (`_prefix_xor`); eight uint8
+      passes give the low byte before every byte of the chunk. The scan
+      runs on whole words, so a chunk is zero-padded to a multiple of 8
+      bytes; padding after the last byte changes nothing before it.
+    * A byte changes only the low byte, so h ^ b = h + d with
+      d = (l ^ b) - l, and a chunk of m bytes ends at
+      P^m * h + sum_i d_i * P^(m - i) mod 2^64: one wrapping uint64
+      multiply and sum against the precomputed powers of P.
+    """
     h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _U64
+    buf = np.frombuffer(data, dtype=np.uint8)
+    for start in range(0, len(buf), _FNV_CHUNK):
+        m = min(_FNV_CHUNK, len(buf) - start)
+        b = np.zeros(-(-m // 8) * 8, dtype=np.uint8)
+        b[:m] = buf[start : start + m]
+        low = np.zeros(len(b) + 1, dtype=np.uint8)  # the state's low byte before each byte, then after the last
+        low[0] = h & 0xFF
+        for bit, below in _FNV_BITS:
+            flips = ((low[:-1] ^ b) & below) * _FNV_PRIME_LOW
+            flips ^= b
+            flips &= bit
+            flips[0] ^= low[0] & bit
+            _prefix_xor(flips)
+            low[1:] |= flips
+        d = (low[:m] ^ b[:m]).astype(np.uint64) - low[:m].astype(np.uint64)  # wraps: d mod 2^64
+        d *= _FNV_POWERS[-m:]
+        h = (int(_FNV_POWERS[-m]) * h + int(d.sum(dtype=np.uint64))) & _U64
     return h
 
 

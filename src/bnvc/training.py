@@ -14,6 +14,7 @@ constant).
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -103,6 +104,8 @@ class TrainingConfig:
         check_int("steps", self.steps, 0)
         check_int("seed", self.seed, 0)
         check_int("rollout", self.rollout, 1)
+        if isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real) or not 0.0 < self.lr < math.inf:
+            raise UsageError(f"lr must be a finite real above 0, got {self.lr!r}")
 
     @property
     def lam(self) -> float:
@@ -202,7 +205,7 @@ def evaluate_coding(
     Returns mean bpp, mean inter-frame MSE (in [0,1]^2 units), the
     rate-distortion objective lambda*MSE + bpp, and mean inter PSNR.
     """
-    lam = LAMBDA_VALUES[lambda_index]
+    lam = LAMBDA_VALUES[check_int("lambda index", lambda_index, 0, len(LAMBDA_VALUES) - 1)]
     bpps, mses, psnrs = [], [], []
     for seq in sequences:
         data, stats, recons = encode_sequence(seq, model, policy, lambda_index, intra_period)

@@ -10,7 +10,7 @@ from bnvc.errors import UsageError
 from bnvc.model import CodecModel, ModelConfig
 from bnvc.policies import DuplicationPolicy
 from bnvc.synth import generate_sequence
-from bnvc.training import TrainingConfig, train_toy
+from bnvc.training import TrainingConfig, evaluate_coding, train_toy
 
 NEAR = DuplicationPolicy.NEAR
 
@@ -30,6 +30,9 @@ MISTAKES = {
     # True == 1, so it was taken as a period of 1: every frame intra
     "encode_intra_period_bool": lambda m, f, d: encode_sequence(f, m, NEAR, intra_period=True),
     "encode_model_none": lambda m, f, d: encode_sequence(f, None, NEAR),
+    "encode_ragged_frames": lambda m, f, d: encode_sequence(
+        [np.zeros((3, 32, 32), np.uint8), np.zeros((3, 32, 16), np.uint8)], m, NEAR
+    ),
     "decode_model_none": lambda m, f, d: decode_sequence(d, None),
     "decode_stream_none": lambda m, f, d: decode_sequence(None, m),
     "decode_stream_str": lambda m, f, d: decode_sequence("abc", m),
@@ -38,6 +41,10 @@ MISTAKES = {
     "training_rollout_float": lambda m, f, d: TrainingConfig(rollout=2.0),
     "training_seed_negative": lambda m, f, d: TrainingConfig(seed=-1),
     "training_seed_float": lambda m, f, d: TrainingConfig(seed=1.5),
+    "training_lr_str": lambda m, f, d: TrainingConfig(lr="x"),
+    "training_lr_nan": lambda m, f, d: TrainingConfig(lr=float("nan")),
+    "training_lr_bool": lambda m, f, d: TrainingConfig(lr=True),
+    "evaluate_lambda_index_str": lambda m, f, d: evaluate_coding(m, [f], "2"),
     "train_toy_3d_sequence": lambda m, f, d: train_toy(
         CodecModel(ModelConfig.toy()), [np.zeros((6, 32, 32), np.uint8)], TrainingConfig(steps=1)
     ),

@@ -1,5 +1,6 @@
 """Tests for the parameter store, weights files, and the FNV-1a weights
-hash, which always names the parameters' current float32 values."""
+hash, which always names the parameters' current float32 values. The
+per-byte FNV-1a loop is the oracle for the chunked prefix-scan hash."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import bnvc.network as network
 from bnvc.codec import decode_sequence, encode_sequence
 from bnvc.errors import ShapeError, UsageError
+from bnvc.fusion import FusionMode
 from bnvc.model import CodecModel, ModelConfig
 from bnvc.network import Conv, ParamStore, ResBlock, fnv1a64, read_manifest, save_weights
 from bnvc.synth import generate_sequence
@@ -14,7 +16,39 @@ from bnvc.tensor import Tensor
 from bnvc.training import Adam
 
 
+def fnv1a64_loop(data: bytes) -> int:
+    """FNV-1a 64 as its definition states it, one byte at a time."""
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & ((1 << 64) - 1)
+    return h
+
+
+CHUNK = network._FNV_CHUNK
+FILLS = {
+    "all_00": lambda n: bytes(n),
+    "all_ff": lambda n: b"\xff" * n,
+    "random": lambda n: np.random.default_rng(n).integers(0, 256, n, dtype=np.uint8).tobytes(),
+}
+BENCHMARK_MODELS = {
+    "default_butterfly": ModelConfig(),
+    "default_together": ModelConfig(fusion=FusionMode.TOGETHER),
+    "toy_butterfly": ModelConfig.toy(),
+}
+
+
 class TestFnv1a64:
+    @pytest.mark.parametrize("fill", FILLS.values(), ids=FILLS.keys())
+    @pytest.mark.parametrize("n", [0, 1, 7, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    def test_matches_the_per_byte_loop(self, fill, n):
+        data = fill(n)
+        assert fnv1a64(data) == fnv1a64_loop(data)
+
+    @pytest.mark.parametrize("config", BENCHMARK_MODELS.values(), ids=BENCHMARK_MODELS.keys())
+    def test_matches_the_per_byte_loop_on_model_weights(self, config):
+        data = CodecModel(config, seed=0).store.to_f32_bytes()
+        assert fnv1a64(data) == fnv1a64_loop(data)
+
     def test_reference_vectors(self):
         # standard FNV-1a 64 test vectors
         assert fnv1a64(b"") == 0xCBF29CE484222325
@@ -99,6 +133,10 @@ class TestParamStore:
     def test_seed0_default_weights_hash_pinned(self):
         """The default widths (width 16) build the same weights as before the one-width config."""
         assert CodecModel(ModelConfig(), seed=0).prepare_for_coding() == 0xC9291BA738936D11
+
+    def test_seed0_together_weights_hash_pinned(self):
+        """The clips64_together benchmark model: TOGETHER fusion at width 16."""
+        assert CodecModel(ModelConfig(fusion=FusionMode.TOGETHER), seed=0).prepare_for_coding() == 0x7C29911C0D7B35BF
 
     def test_save_load_round_trip(self, tmp_path):
         """The file holds the store rounded through float32; saving leaves the store as it was."""
