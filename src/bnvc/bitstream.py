@@ -32,7 +32,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from .errors import CorruptStreamError, UsageError, check_int
+from .errors import CorruptStreamError, UsageError, check_int, check_type
 from .fusion import FusionMode
 from .model import LAMBDA_VALUES, CodecModel
 from .policies import DuplicationPolicy
@@ -66,10 +66,8 @@ class StreamHeader:
     weights_hash: int
 
     def __post_init__(self):
-        if not isinstance(self.policy, DuplicationPolicy):
-            raise UsageError(f"policy must be a DuplicationPolicy, got {self.policy!r}")
-        if not isinstance(self.fusion, FusionMode):
-            raise UsageError(f"fusion must be a FusionMode, got {self.fusion!r}")
+        check_type("policy", self.policy, DuplicationPolicy)
+        check_type("fusion", self.fusion, FusionMode)
         check_int("frame size (height)", self.height, 0, _U16_MAX)
         check_int("frame size (width)", self.width, 0, _U16_MAX)
         CodecModel.latent_hw(self.height, self.width)  # refuses a side of 0 or not a multiple of 4

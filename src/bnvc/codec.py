@@ -33,12 +33,12 @@ from .bitstream import (
     StreamHeader,
 )
 from .entropy import DecoderState, TableSet, build_logistic_cdf_rows, gaussian_tables, range_decode, range_encode
-from .errors import CorruptStreamError, UsageError, check_frames
+from .errors import CorruptStreamError, UsageError, check_frames, check_type
 from .metrics import psnr
 from .model import CodecModel
 from .motion import compose_flows, estimate_motion
 from .policies import DuplicationPolicy, pad_references
-from .tensor import Tensor, no_grad, warp_bilinear
+from .tensor import Tensor, warp_bilinear
 
 __all__ = [
     "Frame",
@@ -59,11 +59,12 @@ __all__ = [
 
 @dataclass
 class Frame:
-    """One decoded picture: 8-bit pixels, stored feature, decoded flow."""
+    """One decoded picture: 8-bit pixels, stored feature, and decoded
+    flow (None for an intra frame)."""
 
     pixels: np.ndarray
     index: int
-    feature: Optional[Tensor] = None
+    feature: Tensor
     flow: Optional[Tensor] = None
 
     def __post_init__(self):
@@ -89,19 +90,10 @@ def reference_flows(frames: Sequence[Frame], newest_flow: Tensor) -> list[Tensor
     return flows[::-1]
 
 
-def ensure_feature(model: CodecModel, frame: Frame) -> Tensor:
-    """The frame's stored feature, extracting and caching it if missing."""
-    if frame.feature is None:
-        frame.feature = model.extract_feature(pixels_to_tensor(frame.pixels))
-    return frame.feature
-
-
 def intra_frame(model: CodecModel, pixels: np.ndarray, index: int) -> Frame:
     """Losslessly stored frame; its feature comes from the extractor."""
-    with no_grad():
-        frame = Frame(np.ascontiguousarray(pixels), index)
-        ensure_feature(model, frame)
-    return frame
+    pixels = check_frames("frame pixels", np.ascontiguousarray(pixels), 3)
+    return Frame(pixels, index, model.extract_feature(pixels_to_tensor(pixels)))
 
 
 def pixels_to_tensor(pixels: np.ndarray) -> Tensor:
@@ -188,7 +180,7 @@ class Decode:
 
 def inter_step(
     model: CodecModel, x: Optional[np.ndarray], refs: Sequence[Frame], policy: DuplicationPolicy, bottleneck
-) -> tuple[Tensor, Tensor, Tensor]:
+) -> tuple[Tensor, Frame]:
     """Code one inter frame against `refs`, the decoded frames (oldest to
     newest, at most `n_ref`). Each is warped once; `policy` pads the
     warped features to the fusion's `n_ref` inputs.
@@ -197,8 +189,9 @@ def inter_step(
     neither motion search nor the analysis transforms run, and the
     bottleneck supplies every latent. Motion search compares the uint8
     `x` with the newest reference's stored pixels. Returns (x_hat,
-    feature, v_hat): the float reconstruction, the feature stored for
-    later references, and the decoded flow to the newest reference.
+    frame): the float reconstruction, and the decoded frame that follows
+    `refs[-1]`, holding the feature stored for later references and the
+    decoded flow to the newest reference.
     """
     if not refs:
         raise UsageError("an inter frame needs at least one decoded reference")
@@ -217,7 +210,7 @@ def inter_step(
     mean, scale = model.mv_hyper_synthesize(z_v_hat, lhw)
     v_hat = model.mv_synthesize(bottleneck.main(model, y_v, mean, scale), (h, w))
 
-    warped = [warp_bilinear(ensure_feature(model, ref), fl) for ref, fl in zip(refs, reference_flows(refs, v_hat))]
+    warped = [warp_bilinear(ref.feature, fl) for ref, fl in zip(refs, reference_flows(refs, v_hat))]
     ctx = model.fusion(pad_references(warped, model.config.n_ref, policy))
 
     if x_t is not None:
@@ -227,26 +220,23 @@ def inter_step(
     mean, scale = model.ctx_hyper_synthesize(z_hat, ctx, lhw)
     f_hat = model.ctx_synthesize(bottleneck.main(model, y, mean, scale), ctx, (h, w))
     x_hat, feature = model.generate_frame(f_hat, ctx.c0)
-    return x_hat, feature, v_hat
+    return x_hat, Frame(to_uint8(x_hat.data), refs[-1].index + 1, feature, v_hat)
 
 
 def encode_frame(
     pixels: np.ndarray,
-    index: int,
     dpb: Sequence[Frame],
     model: CodecModel,
     policy: DuplicationPolicy,
 ) -> tuple[bytes, Frame]:
-    """Code one inter frame against the decoded frames `dpb`; returns (payload, recon)."""
+    """Code the inter frame that follows the decoded frames `dpb`; returns (payload, recon)."""
     coder = Encode()
-    with no_grad():
-        x_hat, feature, v_hat = inter_step(model, pixels, list(dpb), policy, coder)
-    return coder.payload(), Frame(to_uint8(x_hat.data), index, feature=feature, flow=v_hat)
+    _, frame = inter_step(model, pixels, list(dpb), policy, coder)
+    return coder.payload(), frame
 
 
 def decode_frame(
     payload: bytes,
-    index: int,
     dpb: Sequence[Frame],
     model: CodecModel,
     policy: DuplicationPolicy,
@@ -254,11 +244,10 @@ def decode_frame(
     """Mirror of encode_frame; requires the encoder's decoded frames, and
     a payload that ends exactly where its last symbol does."""
     coder = Decode(payload)
-    with no_grad():
-        x_hat, feature, v_hat = inter_step(model, None, list(dpb), policy, coder)
+    _, frame = inter_step(model, None, list(dpb), policy, coder)
     if coder.state.pos != len(payload):
         raise CorruptStreamError(f"inter payload holds {len(payload) - coder.state.pos} bytes past its last symbol")
-    return Frame(to_uint8(x_hat.data), index, feature=feature, flow=v_hat)
+    return frame
 
 
 # -- sequence coding ------------------------------------------------------------------
@@ -294,8 +283,7 @@ def encode_sequence(
 ) -> tuple[bytes, EncodeStats, np.ndarray]:
     """Encode uint8 frames (N, 3, H, W); returns (stream, stats, recons)."""
     frames = check_frames("sequence", frames, 4)
-    if not isinstance(model, CodecModel):
-        raise UsageError(f"model must be a CodecModel, got {type(model).__name__}")
+    check_type("model", model, CodecModel)
     n, _, h, w = frames.shape
     # the header refuses a field no decoder accepts before the weights are snapped
     header = StreamHeader(
@@ -320,7 +308,7 @@ def encode_sequence(
             frame = intra_frame(model, frames[i], i)
             types.append("I")
         else:
-            payload, frame = encode_frame(frames[i], i, dpb, model, policy)
+            payload, frame = encode_frame(frames[i], dpb, model, policy)
             writer.add_inter(payload)
             types.append("P")
         dpb.append(frame)
@@ -345,8 +333,7 @@ def decode_sequence(
     expected_policy: Optional[DuplicationPolicy] = None,
 ) -> tuple[np.ndarray, StreamHeader]:
     """Decode a bitstream; refuses mismatched weights/config/policy."""
-    if not isinstance(model, CodecModel):
-        raise UsageError(f"model must be a CodecModel, got {type(model).__name__}")
+    check_type("model", model, CodecModel)
     reader = BitstreamReader(data)
     header = reader.header
     h, w, policy = header.height, header.width, header.policy
@@ -380,7 +367,7 @@ def decode_sequence(
             dpb.clear()
             frame = intra_frame(model, pixels, index)
         else:  # FRAME_TYPE_INTER; the reader rejects any other type
-            frame = decode_frame(record, index, dpb, model, policy)
+            frame = decode_frame(record, dpb, model, policy)
         dpb.append(frame)
         out.append(frame.pixels)
         index += 1

@@ -1,12 +1,14 @@
-"""Exception classes shared across the package, and the two caller-input
+"""Exception classes shared across the package, and the three caller-input
 rules: `check_int` (an int, not a bool, within bounds) for the integer fields
 of `ModelConfig`, `StreamHeader`, `TrainingConfig`, `LossModelParams`,
-`CodecModel`'s seed and `pad_references`; `check_frames` (uint8 planar RGB,
-no empty axis) for `codec.Frame`, `encode_sequence`, `train_toy` and the
-`frameio` writers.
+`CodecModel`'s seed and `pad_references`; `check_type` (an instance of one
+class) for the model, config, policy and fusion-mode arguments; and
+`check_frames` (uint8 planar RGB, no empty axis) for `codec.Frame`,
+`encode_sequence`, `train_toy` and the `frameio` writers.
 
-The CLI maps UsageError to exit code 1 and CorruptStreamError to exit
-code 2; everything else is a bug.
+Exit codes, the contract for the planned `bnvc` CLI (ROADMAP item 7): a
+`UsageError` exits 1, a `CorruptStreamError` exits 2, and any other
+exception is a bug.
 """
 
 import numpy as np
@@ -34,6 +36,13 @@ def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < lo or (hi is not None and value > hi):
         bounds = f"at least {lo}" + ("" if hi is None else f" and at most {hi}")
         raise UsageError(f"{name} must be an int {bounds}, got {value!r}")
+    return value
+
+
+def check_type(name: str, value, kind: type):
+    """`value` if it is an instance of `kind`, else UsageError naming the field."""
+    if not isinstance(value, kind):
+        raise UsageError(f"{name} must be a {kind.__name__}, got {value!r:.80}")
     return value
 
 

@@ -3,7 +3,8 @@ differences, the composed fusion front-end, and the full coding
 pipeline at toy size. Each check returns a `GradCheckReport` named after
 what it checks. The op and fusion checks run at `grad_check`'s default
 step and tolerance; the pipeline check has its own, fixed below.
-`tests/test_gradsuite.py` runs all three.
+`tests/test_tensor.py` runs the op checks over 20 seeds, and
+`tests/test_gradsuite.py` runs the fusion and pipeline checks.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .tensor import (
     leaky_relu,
     log,
     mean_all,
-    no_grad,
     sigmoid,
     std_normal_cdf,
     sum_all,
@@ -173,11 +173,9 @@ def pipeline_check(seed: int = 0, per_param: int = 3) -> GradCheckReport:
         best = math.inf
         for eps in _PIPELINE_EPS_LADDER:
             flat[idx] = orig + eps
-            with no_grad():
-                hi = float(loss_value().data)
+            hi = float(loss_value().data)
             flat[idx] = orig - eps
-            with no_grad():
-                lo = float(loss_value().data)
+            lo = float(loss_value().data)
             flat[idx] = orig
             if not (math.isfinite(hi) and math.isfinite(lo)):
                 return GradCheckReport(math.inf, False, checked, "non-finite finite-difference value", name="full_pipeline")

@@ -13,13 +13,14 @@ multiple of c0 = width, and its constructor checks every architecture rule.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .entropy import MIN_PROB, SCALE_MAX, SCALE_MIN
-from .errors import UsageError, check_int
+from .errors import UsageError, check_int, check_type
 from .fusion import ContextPyramid, FusionMode, MultiRefFusion
 from .network import Conv, ParamStore, ResBlock, read_manifest, save_weights
 from .tensor import (
@@ -59,8 +60,7 @@ class ModelConfig:
     width: int = 16
 
     def __post_init__(self):
-        if not isinstance(self.fusion, FusionMode):
-            raise UsageError(f"fusion must be a FusionMode, got {self.fusion!r}")
+        check_type("fusion", self.fusion, FusionMode)
         check_int("n_ref", self.n_ref, 1, 255)
         if check_int("width", self.width, 4) % 4:
             raise UsageError(f"width must be a positive multiple of 4, got {self.width!r}")
@@ -94,7 +94,7 @@ class CodecModel:
     """All parameters and forward paths of the codec."""
 
     def __init__(self, config: ModelConfig = ModelConfig(), seed: int = 0):
-        self.config = config
+        self.config = check_type("config", config, ModelConfig)
         self.store = ParamStore()
         rng = np.random.default_rng(check_int("seed", seed, 0))
         c0, c1, c2 = config.ctx_channels
@@ -233,7 +233,9 @@ class CodecModel:
         save_weights(self.store, Path(manifest_path), extra={"model": self.config.to_manifest()})
 
     @classmethod
-    def load(cls, manifest_path: str | Path) -> "CodecModel":
+    def load(cls, manifest_path: str | os.PathLike) -> "CodecModel":
+        if not isinstance(manifest_path, (str, os.PathLike)):
+            raise UsageError(f"manifest path must be a str or path, got {manifest_path!r}")
         manifest_path = Path(manifest_path)
         manifest = read_manifest(manifest_path)
         try:

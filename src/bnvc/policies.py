@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Sequence, TypeVar
 
-from .errors import UsageError, check_int
+from .errors import UsageError, check_int, check_type
 
 T = TypeVar("T")
 
@@ -29,8 +29,7 @@ def pad_references(items: Sequence[T], n: int, policy: DuplicationPolicy) -> lis
     m < n, NEAR repeats the newest entry and FURTHER repeats the oldest;
     the result stays ordered oldest to newest.
     """
-    if not isinstance(policy, DuplicationPolicy):
-        raise UsageError(f"policy must be a DuplicationPolicy, got {policy!r}")
+    check_type("policy", policy, DuplicationPolicy)
     check_int("reference count", n, 1)
     if not items:
         raise UsageError("reference list is empty")

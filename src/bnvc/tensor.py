@@ -25,6 +25,9 @@ Design constraints, in order of priority:
 Everything is float64, channels-first (C, H, W), row-major. No op writes
 into its inputs; `Adam.step`, `ParamStore.load` and `snap_to_f32` write
 parameters in place, and `weights_hash` reads their current values.
+`requires_grad` is the only switch for recording: an op records its
+node iff one of its inputs requires grad, and there is no global mode,
+so coding with parameters that do not require grad records nothing.
 backward() consumes the graph it runs over: interior nodes drop their
 gradients, rules and parents as it goes, and only leaves keep .grad.
 Graphs must not be shared across concurrent executions; independent
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -46,7 +48,6 @@ from .special import expit, ndtr
 
 __all__ = [
     "Tensor",
-    "no_grad",
     "backward",
     "conv2d",
     "conv_out_extent",
@@ -65,21 +66,7 @@ __all__ = [
     "grad_check",
 ]
 
-_GRAD_ENABLED = True
-
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-@contextmanager
-def no_grad():
-    """Disable graph recording inside the context (inference fast path)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
 
 
 class Tensor:
@@ -136,7 +123,7 @@ def _as_tensor(value) -> Tensor:
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -670,10 +657,11 @@ def grad_check(
     failure, never raised.
     """
     tensors = [Tensor(np.array(v, dtype=np.float64), requires_grad=True) for v in inputs]
+    plain = [Tensor(t.data) for t in tensors]  # the same arrays, recording nothing
 
     def _evaluate() -> float:
-        with no_grad(), np.errstate(all="ignore"):
-            out = fn(*tensors)
+        with np.errstate(all="ignore"):
+            out = fn(*plain)
         return float(out.data)
 
     try:

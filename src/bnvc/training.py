@@ -4,10 +4,11 @@ Each step samples a window of one intra frame plus a short rollout of
 inter frames, runs each inter frame through the codec's `inter_step`
 with the `Noise` bottleneck (quantization relaxed to additive uniform
 noise), and minimizes sum_t(lambda * MSE_t + bits_t / pixels) by Adam.
-The rollout buffer holds codec `Frame`s: uint8 pixels for motion search,
-exactly as when coding, plus live feature and flow tensors, so gradients
-flow through stored features and composed flows across the whole window
-(motion search itself is integer block matching and enters as a
+The rollout buffer holds codec `Frame`s, made as when coding by
+`intra_frame` and `inter_step`: uint8 pixels for motion search plus live
+feature and flow tensors, so gradients flow through the intra frame's
+extracted feature, stored features and composed flows across the whole
+window (motion search itself is integer block matching and enters as a
 constant).
 """
 
@@ -21,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codec import Frame, Noise, encode_sequence, inter_step, pixels_to_tensor, to_uint8
-from .errors import BnvcError, UsageError, check_frames, check_int
+from .codec import Noise, encode_sequence, inter_step, intra_frame, pixels_to_tensor
+from .errors import BnvcError, UsageError, check_frames, check_int, check_type
 from .model import LAMBDA_VALUES, CodecModel
 from .policies import DuplicationPolicy
 from .tensor import Tensor, mean_all
@@ -104,6 +105,7 @@ class TrainingConfig:
         check_int("steps", self.steps, 0)
         check_int("seed", self.seed, 0)
         check_int("rollout", self.rollout, 1)
+        check_type("policy", self.policy, DuplicationPolicy)
         if isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real) or not 0.0 < self.lr < math.inf:
             raise UsageError(f"lr must be a finite real above 0, got {self.lr!r}")
 
@@ -133,7 +135,7 @@ def rollout_loss(
     """
     n_frames = window.shape[0]
     h, w = int(window.shape[2]), int(window.shape[3])
-    dpb = deque([Frame(window[0], 0)], maxlen=model.config.n_ref)
+    dpb = deque([intra_frame(model, window[0], 0)], maxlen=model.config.n_ref)
 
     total: Optional[Tensor] = None
     bits_sum = 0.0
@@ -142,14 +144,14 @@ def rollout_loss(
     lam_t = Tensor(float(lam))
     for t in range(1, n_frames):
         noise = Noise(rng)
-        x_hat, feature, v_hat = inter_step(model, window[t], list(dpb), policy, noise)
+        x_hat, frame = inter_step(model, window[t], list(dpb), policy, noise)
         diff = pixels_to_tensor(window[t]) - x_hat
         dist = mean_all(diff * diff)
         loss_t = lam_t * dist + noise.bits * inv_pixels
         total = loss_t if total is None else total + loss_t
         bits_sum += float(noise.bits.data)
         mse_sum += float(dist.data)
-        dpb.append(Frame(to_uint8(x_hat.data), t, feature=feature, flow=v_hat))
+        dpb.append(frame)
 
     n_inter = n_frames - 1
     return total, bits_sum / (n_inter * h * w), mse_sum / n_inter
@@ -161,6 +163,8 @@ def train_toy(model: CodecModel, dataset: Sequence[np.ndarray], config: Training
     steps=0 returns immediately with the weights untouched. A non-finite
     loss aborts with TrainingDiverged carrying the step index.
     """
+    check_type("model", model, CodecModel)
+    check_type("config", config, TrainingConfig)
     log = TrainingLog()
     if config.steps == 0:
         return log

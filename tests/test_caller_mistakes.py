@@ -49,6 +49,13 @@ MISTAKES = {
         CodecModel(ModelConfig.toy()), [np.zeros((6, 32, 32), np.uint8)], TrainingConfig(steps=1)
     ),
     "model_seed_negative": lambda m, f, d: CodecModel(ModelConfig.toy(), seed=-1),
+    "model_config_str": lambda m, f, d: CodecModel("toy"),
+    "model_config_none": lambda m, f, d: CodecModel(None),
+    "model_load_int": lambda m, f, d: CodecModel.load(123),
+    "train_toy_model_none": lambda m, f, d: train_toy(None, [f], TrainingConfig(steps=1, rollout=1)),
+    "train_toy_config_none": lambda m, f, d: train_toy(m, [f], None),
+    # without a check here, pad_references refuses it only at the first training step
+    "training_policy_str": lambda m, f, d: TrainingConfig(policy="near"),
 }
 
 

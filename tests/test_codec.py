@@ -32,7 +32,7 @@ from bnvc.fusion import FusionMode
 from bnvc.model import CodecModel, ModelConfig
 from bnvc.policies import DuplicationPolicy, pad_references
 from bnvc.synth import generate_sequence
-from bnvc.tensor import Tensor, no_grad
+from bnvc.tensor import Tensor
 
 NEAR = DuplicationPolicy.NEAR
 FURTHER = DuplicationPolicy.FURTHER
@@ -52,7 +52,7 @@ def _model(seed=0, **kw):
 
 def _frame(index, seed=None, h=32, w=32):
     rng = np.random.default_rng(index if seed is None else seed)
-    return Frame(rng.integers(0, 256, size=(3, h, w), dtype=np.uint8), index)
+    return Frame(rng.integers(0, 256, size=(3, h, w), dtype=np.uint8), index, Tensor(np.zeros((8, h, w))))
 
 
 class TestReferenceSet:
@@ -118,7 +118,7 @@ class TestReferenceFlows:
         seq = _sequence(seed=25, n=5)
         dpb = deque([intra_frame(model, seq[0], 0)], maxlen=4)
         for i in range(1, 4):
-            dpb.append(encode_frame(seq[i], i, dpb, model, NEAR)[1])
+            dpb.append(encode_frame(seq[i], dpb, model, NEAR)[1])
         warps, fused = [], []
         real_warp, real_fusion = codec.warp_bilinear, model.fusion
         monkeypatch.setattr(codec, "warp_bilinear", lambda *a: warps.append(real_warp(*a)) or warps[-1])
@@ -127,8 +127,7 @@ class TestReferenceFlows:
             for policy in (NEAR, FURTHER):
                 warps.clear()
                 fused.clear()
-                with no_grad():
-                    inter_step(model, seq[4], list(dpb)[4 - n :], policy, Encode())
+                inter_step(model, seq[4], list(dpb)[4 - n :], policy, Encode())
                 assert len(warps) == n
                 padded = pad_references(warps, 4, policy)
                 assert len(fused) == 1 and len(fused[0]) == 4
@@ -164,9 +163,8 @@ def _moved_frames(seed):
 
 
 def _encode_step(model, ref, cur, coder):
-    with no_grad():
-        _, _, v_hat = inter_step(model, cur, [intra_frame(model, ref, 0)], NEAR, coder)
-    return v_hat
+    _, frame = inter_step(model, cur, [intra_frame(model, ref, 0)], NEAR, coder)
+    return frame.flow
 
 
 class TestMotionCoding:
@@ -178,9 +176,8 @@ class TestMotionCoding:
         ref, cur = _moved_frames(3)
         coder = Encode()
         v_hat_enc = _encode_step(model, ref, cur, coder)
-        with no_grad():
-            _, _, v_hat_dec = inter_step(model, None, [intra_frame(model, ref, 0)], NEAR, Decode(coder.payload()))
-        assert v_hat_enc.data.tobytes() == v_hat_dec.data.tobytes()
+        _, decoded = inter_step(model, None, [intra_frame(model, ref, 0)], NEAR, Decode(coder.payload()))
+        assert v_hat_enc.data.tobytes() == decoded.flow.data.tobytes()
 
     def test_payload_deterministic(self):
         model = _model()
@@ -217,7 +214,7 @@ class TestMotionCoding:
         model.prepare_for_coding()
         real, flows = codec.estimate_motion, []
         monkeypatch.setattr(codec, "estimate_motion", lambda *a, **kw: flows.append(real(*a, **kw)) or flows[-1])
-        encode_frame(frames[2], 1, [intra_frame(model, frames[1], 0)], model, NEAR)
+        encode_frame(frames[2], [intra_frame(model, frames[1], 0)], model, NEAR)
         assert len(flows) == 1
         np.testing.assert_array_equal(flows[0][:, 16:24, 0:8], 0.0)
 
@@ -268,8 +265,7 @@ class TestEntropyTables:
                     monkeypatch.setattr(module, name, counting(getattr(module, name)))
         seq = _sequence(seed=12, n=2)
         coder = _Recorder(Encode())
-        with no_grad():
-            inter_step(model, seq[1], [intra_frame(model, seq[0], 0)], NEAR, coder)
+        inter_step(model, seq[1], [intra_frame(model, seq[0], 0)], NEAR, coder)
         n_symbols = sum(out.size for out, _, _ in coder.outputs)
         assert n_symbols > 1000
         assert sum(rows) <= 64 + model.config.mv_hyper + model.config.ctx_hyper
@@ -317,8 +313,8 @@ class TestFrameRoundTrip:
         dpb_enc.append(first_enc)
         dpb_dec.append(first_dec)
         for i in range(1, 5):
-            payload, recon = encode_frame(seq[i], i, dpb_enc, model, NEAR)
-            decoded = decode_frame(payload, i, dpb_dec, model, NEAR)
+            payload, recon = encode_frame(seq[i], dpb_enc, model, NEAR)
+            decoded = decode_frame(payload, dpb_dec, model, NEAR)
             assert recon.pixels.tobytes() == decoded.pixels.tobytes()
             assert recon.feature.data.tobytes() == decoded.feature.data.tobytes()
             assert recon.flow.data.tobytes() == decoded.flow.data.tobytes()
@@ -333,24 +329,41 @@ class TestFrameRoundTrip:
         for _ in range(2):
             dpb = deque(maxlen=4)
             dpb.append(intra_frame(model, seq[0], 0))
-            payload, recon = encode_frame(seq[1], 1, dpb, model, NEAR)
+            payload, recon = encode_frame(seq[1], dpb, model, NEAR)
             outs.append((payload, recon.pixels.tobytes()))
         assert outs[0][0] == outs[1][0]
         assert outs[0][1] == outs[1][1]
 
+    def test_index_follows_the_newest_reference(self):
+        model = _model()
+        model.prepare_for_coding()
+        seq = _sequence(seed=15, n=3)
+        payload, recon = encode_frame(seq[1], [intra_frame(model, seq[0], 7)], model, NEAR)
+        decoded = decode_frame(payload, [intra_frame(model, seq[0], 7)], model, NEAR)
+        assert recon.index == decoded.index == 8
+
+    def test_index_gap_rejected(self):
+        model = _model()
+        model.prepare_for_coding()
+        seq = _sequence(seed=15, n=3)
+        first = intra_frame(model, seq[0], 0)
+        _, second = encode_frame(seq[1], [first], model, NEAR)
+        with pytest.raises(UsageError, match="consecutive"):
+            encode_frame(seq[2], [first, replace(second, index=2)], model, NEAR)
+
     def test_empty_dpb_rejected(self):
         model = _model()
         with pytest.raises(UsageError):
-            encode_frame(_sequence()[1], 1, deque(maxlen=4), model, NEAR)
+            encode_frame(_sequence()[1], deque(maxlen=4), model, NEAR)
         with pytest.raises(UsageError):
-            decode_frame(b"", 1, deque(maxlen=4), model, NEAR)
+            decode_frame(b"", deque(maxlen=4), model, NEAR)
 
     def test_indivisible_frame_rejected(self):
         model = _model()
         dpb = deque(maxlen=4)
         bad = np.zeros((3, 30, 32), dtype=np.uint8)
         with pytest.raises(UsageError):
-            encode_frame(bad, 1, dpb, model, NEAR)
+            encode_frame(bad, dpb, model, NEAR)
 
     @pytest.mark.parametrize("policy", ["near", "further", None])
     def test_policy_that_is_not_an_enum_rejected(self, policy):
@@ -359,7 +372,7 @@ class TestFrameRoundTrip:
         seq = _sequence(seed=11)
         dpb = deque([intra_frame(model, seq[0], 0)], maxlen=4)
         with pytest.raises(UsageError, match="DuplicationPolicy"):
-            encode_frame(seq[1], 1, dpb, model, policy)
+            encode_frame(seq[1], dpb, model, policy)
 
 
 class TestSequenceRoundTrip:

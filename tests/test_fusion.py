@@ -15,7 +15,7 @@ from bnvc.fusion import ContextPyramid, FusionMode, MultiRefFusion
 from bnvc.model import ModelConfig
 from bnvc.network import ParamStore
 from bnvc.policies import DuplicationPolicy
-from bnvc.tensor import Tensor, no_grad, sum_all
+from bnvc.tensor import Tensor, sum_all
 
 
 def _fusion(mode, n_ref=4, width=16, seed=0):
@@ -50,12 +50,11 @@ class TestDownsampleStage:
     def test_independence_across_frames(self):
         fusion, _ = _fusion(FusionMode.BUTTERFLY)
         warped = _warped()
-        with no_grad():
-            base = [fusion.down[j](warped[j]) for j in range(4)]
-            perturbed_input = Tensor(warped[1].data + 0.5)
-            after = [
-                fusion.down[j](perturbed_input if j == 1 else warped[j]) for j in range(4)
-            ]
+        base = [fusion.down[j](warped[j]) for j in range(4)]
+        perturbed_input = Tensor(warped[1].data + 0.5)
+        after = [
+            fusion.down[j](perturbed_input if j == 1 else warped[j]) for j in range(4)
+        ]
         for j in (0, 2, 3):
             for a, b in zip(base[j].shapes, after[j].shapes):
                 assert a == b
@@ -81,9 +80,8 @@ class TestGridFuse:
         fusion, _ = _fusion(FusionMode.BUTTERFLY)
         one = _warped(n_ref=1, seed=9)[0]
         warped = [Tensor(one.data.copy()) for _ in range(4)]
-        with no_grad():
-            a = fusion(warped)
-            b = fusion([Tensor(one.data.copy()) for _ in range(4)])
+        a = fusion(warped)
+        b = fusion([Tensor(one.data.copy()) for _ in range(4)])
         assert a.c0.data.tobytes() == b.c0.data.tobytes()
         assert a.c1.data.tobytes() == b.c1.data.tobytes()
         assert a.c2.data.tobytes() == b.c2.data.tobytes()
@@ -119,10 +117,9 @@ class TestFusionModes:
     def test_butterfly_equals_composition(self):
         fusion, _ = _fusion(FusionMode.BUTTERFLY)
         warped = _warped(seed=5)
-        with no_grad():
-            whole = fusion(warped)
-            pyramids = [fusion.down[j](warped[j]) for j in range(4)]
-            composed = fusion.grid(pyramids)
+        whole = fusion(warped)
+        pyramids = [fusion.down[j](warped[j]) for j in range(4)]
+        composed = fusion.grid(pyramids)
         assert whole.c0.data.tobytes() == composed.c0.data.tobytes()
         assert whole.c1.data.tobytes() == composed.c1.data.tobytes()
         assert whole.c2.data.tobytes() == composed.c2.data.tobytes()
@@ -130,8 +127,7 @@ class TestFusionModes:
     @pytest.mark.parametrize("mode", list(FusionMode))
     def test_all_modes_share_shape_contract(self, mode):
         fusion, _ = _fusion(mode, seed=4)
-        with no_grad():
-            ctx = fusion(_warped(seed=6))
+        ctx = fusion(_warped(seed=6))
         assert isinstance(ctx, ContextPyramid)
         assert ctx.c0.shape == (16, 32, 32)
         assert ctx.c1.shape == (24, 16, 16)
@@ -143,9 +139,8 @@ class TestFusionModes:
     def test_determinism(self, mode):
         fusion, _ = _fusion(mode, seed=8)
         warped = _warped(seed=11)
-        with no_grad():
-            a = fusion(warped).c0.data.tobytes()
-            b = fusion(warped).c0.data.tobytes()
+        a = fusion(warped).c0.data.tobytes()
+        b = fusion(warped).c0.data.tobytes()
         assert a == b
 
     def test_wrong_reference_count_rejected(self):
@@ -167,13 +162,12 @@ class TestOcclusionSensitivity:
     def test_probe_leaves_other_pyramids_bit_identical(self):
         fusion, _ = _fusion(FusionMode.BUTTERFLY)
         warped = _warped(seed=13)
-        with no_grad():
-            base = [fusion.down[j](warped[j]) for j in range(4)]
-            probed = Tensor(warped[1].data.copy())
-            probed.data[0, 15:17, 15:17] += 1.0
-            after = [
-                fusion.down[j](probed if j == 1 else warped[j]) for j in range(4)
-            ]
+        base = [fusion.down[j](warped[j]) for j in range(4)]
+        probed = Tensor(warped[1].data.copy())
+        probed.data[0, 15:17, 15:17] += 1.0
+        after = [
+            fusion.down[j](probed if j == 1 else warped[j]) for j in range(4)
+        ]
         for j in (0, 2, 3):
             assert base[j].f0.data.tobytes() == after[j].f0.data.tobytes()
             assert base[j].f1.data.tobytes() == after[j].f1.data.tobytes()
@@ -195,6 +189,8 @@ class TestButterflyGradients:
         loss = sum_all(ctx.c0)
         loss.backward()
         analytic = {name: store[name].grad.copy() for name in names}
+        for name in names:
+            store[name].requires_grad = False
         eps = 1e-5
         for name in names:
             w = store[name]
@@ -202,11 +198,9 @@ class TestButterflyGradients:
             idx = 7 % flat.size
             orig = flat[idx]
             flat[idx] = orig + eps
-            with no_grad():
-                hi = float(sum_all(fusion(warped).c0).data)
+            hi = float(sum_all(fusion(warped).c0).data)
             flat[idx] = orig - eps
-            with no_grad():
-                lo = float(sum_all(fusion(warped).c0).data)
+            lo = float(sum_all(fusion(warped).c0).data)
             flat[idx] = orig
             numeric = (hi - lo) / (2 * eps)
             a = float(analytic[name].reshape(-1)[idx])

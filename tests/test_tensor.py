@@ -28,7 +28,6 @@ from bnvc.tensor import (
     leaky_relu,
     log,
     mean_all,
-    no_grad,
     sigmoid,
     std_normal_cdf,
     sum_all,
@@ -380,11 +379,13 @@ class TestBackward:
         with pytest.raises(UsageError):
             backward(Tensor(np.zeros(3)))
 
-    def test_no_grad_disables_recording(self):
-        x = _t(np.ones(4), grad=True)
-        with no_grad():
-            y = sum_all(x * 3.0)
-        assert not y.requires_grad
+    def test_leaves_without_requires_grad_record_nothing(self):
+        rng = np.random.default_rng(2)
+        x, w, b = _t(rng.normal(size=(2, 6, 6))), _t(rng.normal(size=(3, 2, 3, 3))), _t(rng.normal(size=3))
+        y = sum_all(leaky_relu(conv2d(x, w, b, 1)) * 3.0)
+        assert not y.requires_grad and y._parents == () and y._backward_fn is None
+        with pytest.raises(UsageError):
+            backward(y)
 
     def test_broadcast_bias_gradient(self):
         x = _t(np.ones((3, 2, 2)), grad=True)

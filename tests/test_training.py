@@ -13,6 +13,7 @@ import bnvc.codec as codec
 import bnvc.training as training
 from bnvc.entropy import GaussianModel, LogisticModel, estimate_bits
 from bnvc.errors import UsageError
+from bnvc.fusion import FusionMode
 from bnvc.model import CodecModel, ModelConfig
 from bnvc.policies import DuplicationPolicy
 from bnvc.synth import generate_dataset
@@ -157,6 +158,23 @@ class TestRolloutParity:
             assert cur.dtype == ref.dtype == np.uint8
             np.testing.assert_array_equal(cur, window[t])
             np.testing.assert_array_equal(ref, pixels)
+
+
+class TestRolloutGradients:
+    @pytest.mark.parametrize("mode", list(FusionMode))
+    def test_every_parameter_gets_a_gradient(self, dataset, mode):
+        """The intra frame's extracted feature stays in the training graph, so
+        one 5-frame rollout reaches every parameter, the extractor's too."""
+        model = _toy_model(fusion=mode)
+        params, names = model.store.tensors(), model.store.names()
+        model.store.set_requires_grad(True)
+        try:
+            loss, _, _ = rollout_loss(model, dataset[0][:5], np.random.default_rng(0), 1024.0, DuplicationPolicy.NEAR)
+            loss.backward()
+        finally:
+            model.store.set_requires_grad(False)
+        zero = [name for name, p in zip(names, params) if p.grad is None or not np.any(p.grad)]
+        assert not zero, f"no gradient reaches {zero}"
 
 
 class TestTrainingMemory:
