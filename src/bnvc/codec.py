@@ -33,7 +33,7 @@ from .bitstream import (
     StreamHeader,
 )
 from .entropy import DecoderState, TableSet, build_logistic_cdf_rows, gaussian_tables, range_decode, range_encode
-from .errors import CorruptStreamError, UsageError, check_frames, check_type
+from .errors import CorruptStreamError, UsageError, check_frames, check_int, check_type
 from .metrics import psnr
 from .model import CodecModel
 from .motion import compose_flows, estimate_motion
@@ -69,6 +69,7 @@ class Frame:
 
     def __post_init__(self):
         self.pixels = check_frames("frame pixels", self.pixels, 3)
+        check_int("frame index", self.index, 0)
 
     @property
     def hw(self) -> tuple[int, int]:
@@ -210,8 +211,10 @@ def inter_step(
     mean, scale = model.mv_hyper_synthesize(z_v_hat, lhw)
     v_hat = model.mv_synthesize(bottleneck.main(model, y_v, mean, scale), (h, w))
 
-    warped = [warp_bilinear(ref.feature, fl) for ref, fl in zip(refs, reference_flows(refs, v_hat))]
-    ctx = model.fusion(pad_references(warped, model.config.n_ref, policy))
+    # one warp per decoded reference, held only by the padded list, which the fusion empties
+    flows = reference_flows(refs, v_hat)
+    warped = pad_references([warp_bilinear(r.feature, f) for r, f in zip(refs, flows)], model.config.n_ref, policy)
+    ctx = model.fusion(warped)
 
     if x_t is not None:
         y = model.ctx_analyze(x_t, ctx)

@@ -1,8 +1,9 @@
 """Exception classes shared across the package, and the three caller-input
 rules: `check_int` (an int, not a bool, within bounds) for the integer fields
 of `ModelConfig`, `StreamHeader`, `TrainingConfig`, `LossModelParams`,
-`CodecModel`'s seed and `pad_references`; `check_type` (an instance of one
-class) for the model, config, policy and fusion-mode arguments; and
+`codec.Frame`, `CodecModel`'s seed and `pad_references`; `check_type` (an
+instance of one class) for the model, config, policy and fusion-mode
+arguments and `train_toy`'s dataset; and
 `check_frames` (uint8 planar RGB, no empty axis) for `codec.Frame`,
 `encode_sequence`, `train_toy` and the `frameio` writers.
 

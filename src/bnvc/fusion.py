@@ -10,18 +10,24 @@ into one three-scale context pyramid:
   first; within a scale row the horizontal propagation direction
   alternates (oldest-to-newest, then newest-to-oldest, then
   oldest-to-newest), and each node applies one conv plus a residual
-  block to the concatenation of its own pyramid level, the upsampled
+  block to the channel stack of its own pyramid level, the upsampled
   output of the node below it, and its horizontal predecessor. The row
   readout is the last node visited in that row.
-* TOGETHER: all references are channel-concatenated first and go
-  through a single shared down/up U-path.
+* TOGETHER: all references are stacked on the channel axis first and
+  go through a single shared down/up U-path.
 * INDEPENDENT: every reference gets its own down AND up path; the
-  per-frame results are concatenated only at the end and merged by a
-  1x1 conv per scale.
+  per-frame results are stacked on the channel axis only at the end
+  and merged by a 1x1 conv per scale.
 
 All modes produce the same output shape contract, so they are drop-in
 ablation variants of each other. `MultiRefFusion(store, name, config, rng)`
 takes the mode, n_ref and widths from an already checked `ModelConfig`.
+
+Every fusion input is a list of channel parts that `conv2d` reads in
+place, never a concatenated copy. `MultiRefFusion` and `GridFuse`
+consume the lists they are given, as `backward` consumes its graph, so
+each warped feature, pyramid level and node output is freed once read
+when coding (a recorded graph keeps what its gradients need).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import numpy as np
 
 from .errors import ShapeError, UsageError
 from .network import Conv, ParamStore, ResBlock
-from .tensor import Tensor, bilinear_resize, concat_channels, leaky_relu
+from .tensor import Tensor, bilinear_resize, leaky_relu
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -108,11 +114,17 @@ class _GridNode:
         self.refine = ResBlock(store, f"{name}.refine", c_out, rng)
 
     def __call__(self, parts: list[Tensor]) -> Tensor:
-        return self.refine(leaky_relu(self.fuse(concat_channels(parts))))
+        return self.refine(leaky_relu(self.fuse(parts)))
 
 
 class GridFuse:
-    """The (frame, scale) lattice of the BUTTERFLY stage; MultiRefFusion checks its inputs."""
+    """The (frame, scale) lattice of the BUTTERFLY stage; MultiRefFusion checks its inputs.
+
+    A call consumes its list of pyramids: it empties the list, drops each
+    pyramid level once its node has run and each row's outputs once the
+    row above has read them. A row's first node reads an all-zero
+    predecessor, a zero-stride view that holds no buffer.
+    """
 
     #: row visit order; row 2 is coarsest. True = oldest-to-newest.
     _ROW_LEFT_TO_RIGHT = {2: True, 1: False, 0: True}
@@ -130,21 +142,23 @@ class GridFuse:
 
     def __call__(self, pyramids: list[FeaturePyramid]) -> ContextPyramid:
         levels = {0: [p.f0 for p in pyramids], 1: [p.f1 for p in pyramids], 2: [p.f2 for p in pyramids]}
-        out: dict[tuple[int, int], Tensor] = {}
+        pyramids.clear()
+        below: list[Tensor] = []  # the row below's outputs, by frame
         readout: dict[int, Tensor] = {}
         for s in (2, 1, 0):
-            c_here = self.channels[s]
-            h_s, w_s = levels[s][0].shape[1:]
+            here = levels.pop(s)
+            h_s, w_s = here[0].shape[1:]
             order = range(self.n_ref) if self._ROW_LEFT_TO_RIGHT[s] else range(self.n_ref - 1, -1, -1)
-            prev: Tensor | None = None
+            row = [None] * self.n_ref  # this row's outputs, by frame
+            prev = Tensor(np.broadcast_to(0.0, (self.channels[s], h_s, w_s)))
             for j in order:
-                parts = [levels[s][j]]
+                parts = [here[j]]
+                here[j] = None
                 if s < 2:
-                    parts.append(bilinear_resize(out[(j, s + 1)], h_s, w_s))
-                parts.append(prev if prev is not None else Tensor(np.zeros((c_here, h_s, w_s))))
-                node_out = self.nodes[(j, s)](parts)
-                out[(j, s)] = node_out
-                prev = node_out
+                    parts.append(bilinear_resize(below[j], h_s, w_s))
+                parts.append(prev)
+                prev = row[j] = self.nodes[(j, s)](parts)
+            below = row
             readout[s] = prev  # last node visited in this row
         return ContextPyramid(readout[0], readout[1], readout[2])
 
@@ -168,7 +182,12 @@ class _SharedUPath:
 
 
 class MultiRefFusion:
-    """Fusion front-end with the mode baked in at construction."""
+    """Fusion front-end with the mode baked in at construction.
+
+    A call consumes the list of warped features it is given: once the
+    down-stages (or TOGETHER's `merge_in`) have read them, the list is
+    empty, so the caller holds no feature the fusion has done with.
+    """
 
     def __init__(self, store: ParamStore, name: str, config: ModelConfig, rng):
         n_ref, mode, channels = config.n_ref, config.fusion, config.ctx_channels
@@ -191,18 +210,18 @@ class MultiRefFusion:
     def __call__(self, warped: list[Tensor]) -> ContextPyramid:
         if len(warped) != self.n_ref:
             raise UsageError(f"fusion built for {self.n_ref} references, got {len(warped)}")
-        shape = warped[0].shape
-        for t in warped:
-            if t.shape != shape:
-                raise ShapeError(f"warped feature shape mismatch: {t.shape} vs {shape}")
+        shapes = [t.shape for t in warped]  # no loop variable left holding a feature
+        if shapes.count(shapes[0]) != len(shapes):
+            raise ShapeError(f"warped feature shape mismatch: {shapes}")
         if self.mode is FusionMode.BUTTERFLY:
-            return self.grid([self.down[j](warped[j]) for j in range(self.n_ref)])
+            return self.grid([down(warped.pop(0)) for down in self.down])
         if self.mode is FusionMode.TOGETHER:
-            merged = leaky_relu(self.merge_in(concat_channels(list(warped))))
+            merged = leaky_relu(self.merge_in(warped))
+            warped.clear()
             return self.up_shared(self.down_shared(merged))
-        ctxs = [self.up[j](self.down[j](warped[j])) for j in range(self.n_ref)]
+        ctxs = [up(down(warped.pop(0))) for down, up in zip(self.down, self.up)]
         return ContextPyramid(
-            self.merge[0](concat_channels([c.c0 for c in ctxs])),
-            self.merge[1](concat_channels([c.c1 for c in ctxs])),
-            self.merge[2](concat_channels([c.c2 for c in ctxs])),
+            self.merge[0]([c.c0 for c in ctxs]),
+            self.merge[1]([c.c1 for c in ctxs]),
+            self.merge[2]([c.c2 for c in ctxs]),
         )

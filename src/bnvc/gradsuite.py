@@ -24,7 +24,6 @@ from .tensor import (
     Tensor,
     bilinear_resize,
     clamp,
-    concat_channels,
     conv2d,
     exp,
     grad_check,
@@ -89,7 +88,12 @@ def op_checks(seed: int = 0) -> list[GradCheckReport]:
         ("bilinear_resize_up", lambda t: _projected(bilinear_resize(t, 9, 11), seed), [x_img]),
         ("bilinear_resize_down", lambda t: _projected(bilinear_resize(t, 3, 4), seed), [x_img]),
         ("warp_bilinear", lambda tx, tf: _projected(warp_bilinear(tx, tf), seed), [x_img, flow]),
-        ("concat_channels", lambda t1, t2: _projected(concat_channels([t1, t2]), seed), [x_img, x_img[:1] * 0.5]),
+        # two channel parts, each with its own slice of the input gradient
+        (
+            "conv2d_two_parts",
+            lambda t1, t2, tw, tb: _projected(conv2d([t1, t2], tw, tb, 1), seed),
+            [x_img, x_img[:1] * 0.5, w_narrow, b_narrow],
+        ),
         ("sum_all", lambda t: sum_all(t), [a]),
         ("mean_all", lambda t: mean_all(t), [a]),
     ]

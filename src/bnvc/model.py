@@ -27,7 +27,6 @@ from .tensor import (
     Tensor,
     bilinear_resize,
     clamp,
-    concat_channels,
     conv_out_extent,
     exp,
     leaky_relu,
@@ -179,26 +178,26 @@ class CodecModel:
     # -- contextual path ---------------------------------------------------
 
     def ctx_analyze(self, x: Tensor, ctx: ContextPyramid) -> Tensor:
-        h = leaky_relu(self.ctx_enc1(concat_channels([x, ctx.c0])))
-        h = leaky_relu(self.ctx_enc2(concat_channels([h, ctx.c1])))
-        return self.ctx_enc3(concat_channels([h, ctx.c2]))
+        h = leaky_relu(self.ctx_enc1([x, ctx.c0]))
+        h = leaky_relu(self.ctx_enc2([h, ctx.c1]))
+        return self.ctx_enc3([h, ctx.c2])
 
     def ctx_hyper_analyze(self, y: Tensor) -> Tensor:
         return self.ctx_hyper_enc(y)
 
     def ctx_hyper_synthesize(self, z_hat: Tensor, ctx: ContextPyramid, latent_hw: tuple[int, int]) -> tuple[Tensor, Tensor]:
         zi = bilinear_resize(z_hat, *latent_hw)
-        h = leaky_relu(self.ctx_hyper_dec(concat_channels([zi, ctx.c2])))
+        h = leaky_relu(self.ctx_hyper_dec([zi, ctx.c2]))
         return self.ctx_head_mean(h), _to_scale(self.ctx_head_scale(h))
 
     def ctx_synthesize(self, y_hat: Tensor, ctx: ContextPyramid, frame_hw: tuple[int, int]) -> Tensor:
         h, w = frame_hw
-        t = leaky_relu(self.ctx_dec1(concat_channels([y_hat, ctx.c2])))
-        t = leaky_relu(self.ctx_dec2(concat_channels([bilinear_resize(t, h // 2, w // 2), ctx.c1])))
-        return self.ctx_dec3(concat_channels([bilinear_resize(t, h, w), ctx.c0]))
+        t = leaky_relu(self.ctx_dec1([y_hat, ctx.c2]))
+        t = leaky_relu(self.ctx_dec2([bilinear_resize(t, h // 2, w // 2), ctx.c1]))
+        return self.ctx_dec3([bilinear_resize(t, h, w), ctx.c0])
 
     def generate_frame(self, f_hat: Tensor, ctx_c0: Tensor) -> tuple[Tensor, Tensor]:
-        trunk = leaky_relu(self.gen_in(concat_channels([f_hat, ctx_c0])))
+        trunk = leaky_relu(self.gen_in([f_hat, ctx_c0]))
         trunk = self.gen_res2(self.gen_res1(trunk))
         return self.gen_out(trunk), trunk
 
@@ -229,14 +228,12 @@ class CodecModel:
         self.store.snap_to_f32()
         return self.store.weights_hash()
 
-    def save(self, manifest_path: str | Path) -> None:
-        save_weights(self.store, Path(manifest_path), extra={"model": self.config.to_manifest()})
+    def save(self, manifest_path: str | os.PathLike) -> None:
+        save_weights(self.store, _manifest_path(manifest_path), extra={"model": self.config.to_manifest()})
 
     @classmethod
     def load(cls, manifest_path: str | os.PathLike) -> "CodecModel":
-        if not isinstance(manifest_path, (str, os.PathLike)):
-            raise UsageError(f"manifest path must be a str or path, got {manifest_path!r}")
-        manifest_path = Path(manifest_path)
+        manifest_path = _manifest_path(manifest_path)
         manifest = read_manifest(manifest_path)
         try:
             model = cls(ModelConfig.from_manifest(manifest["model"]), seed=0)
@@ -245,6 +242,12 @@ class CodecModel:
             raise UsageError(f"malformed weights manifest {manifest_path}: {err!r}") from None
         model.store.load(bin_path, params)
         return model
+
+
+def _manifest_path(value) -> Path:
+    if not isinstance(value, (str, os.PathLike)):
+        raise UsageError(f"manifest path must be a str or path, got {value!r}")
+    return Path(value)
 
 
 def _bin_bits(values: Tensor, loc: Tensor, scale: Tensor, cdf) -> Tensor:

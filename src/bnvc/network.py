@@ -180,7 +180,8 @@ class ParamStore:
 
 class Conv:
     """Same-padded 3x3 (by default) convolution layer with He-normal
-    initialization; see tensor.conv2d."""
+    initialization; see tensor.conv2d, which also takes the input as a
+    list of channel parts."""
 
     def __init__(
         self,
@@ -200,7 +201,7 @@ class Conv:
         self.w = store.add(f"{name}.w", rng.normal(0.0, std, size=(c_out, c_in, k, k)))
         self.b = store.add(f"{name}.b", np.full(c_out, bias_fill))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor | list[Tensor]) -> Tensor:
         return conv2d(x, self.w, self.b, stride=self.stride)
 
 

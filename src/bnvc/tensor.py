@@ -10,17 +10,21 @@ Design constraints, in order of priority:
   takes one of three forms, chosen by stride and channel counts alone:
   stride 1 with C_in <= C_out runs one GEMM per kernel row over the
   input stacked at its k horizontal shifts; stride 1 with C_in > C_out
-  sums k*k shifted-slice GEMM taps in a fixed order; larger strides
-  multiply by an im2col matrix.
+  sums k*k shifted-slice GEMM taps in a fixed order, taken from one
+  GEMM, or from one GEMM per kernel row where one would make a
+  temporary over 8 MiB; larger strides multiply by an im2col matrix.
 * Correctness. Every differentiable op carries an analytic gradient
   that is validated against central finite differences (grad_check).
 * Just enough surface. Only the operations the codec networks need
   exist: elementwise arithmetic, leaky ReLU, sigmoid, the standard
   normal CDF, clamp, same-padded 2-D convolution, bilinear resize,
-  bilinear warp, channel concat, and full reductions. sigmoid and the
-  normal CDF are `special.expit` and `special.ndtr`: bit-equal to
-  scipy.special's, they take libm's `exp`, not `np.exp`, whose kernel
-  numpy picks by CPU feature, so their values do not hang on the host.
+  bilinear warp, and full reductions. A convolution takes its input as
+  one tensor or as a list of channel parts, which it writes straight
+  into its padded buffer, so a network that fuses several feature maps
+  never copies their concatenation. sigmoid and the normal CDF are
+  `special.expit` and `special.ndtr`: bit-equal to scipy.special's,
+  they take libm's `exp`, not `np.exp`, whose kernel numpy picks by CPU
+  feature, so their values do not hang on the host.
 
 Everything is float64, channels-first (C, H, W), row-major. No op writes
 into its inputs; `Adam.step`, `ParamStore.load` and `snap_to_f32` write
@@ -59,7 +63,6 @@ __all__ = [
     "exp",
     "log",
     "clamp",
-    "concat_channels",
     "sum_all",
     "mean_all",
     "GradCheckReport",
@@ -234,11 +237,12 @@ _LEAKY_SLOPE = 0.1
 
 
 def leaky_relu(x: Tensor) -> Tensor:
-    mask = x.data >= 0.0
-    data = np.where(mask, x.data, _LEAKY_SLOPE * x.data)
+    # max(x, 0.1 x) is x where x >= 0 and 0.1 x elsewhere, signed zeros,
+    # infinities and NaNs included; it needs no mask in the forward pass
+    data = np.maximum(x.data, _LEAKY_SLOPE * x.data)
 
     def back(g):
-        return (np.where(mask, g, _LEAKY_SLOPE * g),)
+        return (np.where(x.data >= 0.0, g, _LEAKY_SLOPE * g),)
 
     return _node(data, (x,), back)
 
@@ -314,48 +318,47 @@ def mean_all(x: Tensor) -> Tensor:
     return _node(data, (x,), back)
 
 
-def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate (C, H, W) tensors along the channel axis."""
-    if not tensors:
-        raise UsageError("concat_channels needs at least one tensor")
-    base = tensors[0].data.shape
-    for t in tensors:
-        if t.data.ndim != len(base) or t.data.shape[1:] != base[1:]:
-            raise ShapeError(f"concat_channels spatial mismatch: {t.data.shape} vs {base}")
-    data = np.concatenate([t.data for t in tensors], axis=0)
-    sizes = [t.data.shape[0] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def back(g):
-        return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(sizes)))
-
-    return _node(data, tuple(tensors), back)
-
-
 # -- convolution ----------------------------------------------------------
+
+#: Largest tap temporary, in bytes, that the shift form makes in one GEMM;
+#: above it the form runs one GEMM per kernel row.
+_SHIFT_TAPS_MAX_BYTES = 8 << 20
+
 
 def conv_out_extent(extent: int, stride: int) -> int:
     """Output extent of a same-padded convolution: ceil(extent / stride)."""
     return (extent - 1) // stride + 1
 
 
-def _flat_padded(x: np.ndarray, pad: int) -> tuple[np.ndarray, int]:
-    """x zero-padded by `pad` plus one spare bottom row, flattened to
-    (C, (Hp + 1) * Wp), and the padded width Wp. The spare row keeps the
-    last tap's slice in bounds."""
-    c, h, w = x.shape
+def _as_parts(x) -> Sequence[np.ndarray]:
+    """A (C, H, W) array, or a sequence of (C_i, H, W) channel parts, as parts."""
+    return (x,) if isinstance(x, np.ndarray) else x
+
+
+def _flat_padded(x, pad: int) -> tuple[np.ndarray, int]:
+    """x, one (C, H, W) array or a sequence of channel parts that stack
+    to it, zero-padded by `pad` plus one spare bottom row, flattened to
+    (C, (Hp + 1) * Wp), and the padded width Wp. Each part is written
+    straight into the buffer, so the parts are never concatenated. The
+    spare row keeps the last tap's slice in bounds."""
+    parts = _as_parts(x)
+    _, h, w = parts[0].shape
     wp = w + 2 * pad
-    xp = np.zeros((c, h + 2 * pad + 1, wp))
-    xp[:, pad : pad + h, pad : pad + w] = x
+    xp = np.zeros((sum(p.shape[0] for p in parts), h + 2 * pad + 1, wp))
+    c = 0
+    for p in parts:
+        xp[c : c + p.shape[0], pad : pad + h, pad : pad + w] = p
+        c += p.shape[0]
     return xp.reshape(c, -1), wp
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
+def _im2col(x, k: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
     xf, wp = _flat_padded(x, k // 2)
-    xp = xf.reshape(x.shape[0], -1, wp)[:, :-1]
+    c = xf.shape[0]
+    xp = xf.reshape(c, -1, wp)[:, :-1]
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
     win = win[:, ::stride, ::stride]
-    return win.transpose(0, 3, 4, 1, 2).reshape(x.shape[0] * k * k, out_h * out_w)
+    return win.transpose(0, 3, 4, 1, 2).reshape(c * k * k, out_h * out_w)
 
 
 def _tap_offsets(k: int, wp: int) -> list[int]:
@@ -376,10 +379,11 @@ def _row_shifts(xf: np.ndarray, k: int) -> np.ndarray:
     return x3.reshape(k * c, m)
 
 
-def _correlate(x: np.ndarray, wd: np.ndarray, stride: int) -> np.ndarray:
-    """Bias-free, same-padded cross-correlation of x (C_in, H, W) with
-    wd (C_out, C_in, k, k): zero padding k // 2 on every side, output
-    ceil(H / stride) x ceil(W / stride).
+def _correlate(x, wd: np.ndarray, stride: int) -> np.ndarray:
+    """Bias-free, same-padded cross-correlation of x (C_in, H, W), one
+    array or a sequence of channel parts, with wd (C_out, C_in, k, k):
+    zero padding k // 2 on every side, output ceil(H / stride) x
+    ceil(W / stride).
 
     Three forms, chosen by stride and channel counts; each works on the
     flattened padded input at stride 1 and crops the Wp - W_out
@@ -391,16 +395,19 @@ def _correlate(x: np.ndarray, wd: np.ndarray, stride: int) -> np.ndarray:
       stack offset by dy*Wp; the rows are summed in dy order, and the
       dx and C_in sums happen inside each GEMM. Its temporary is k times
       the input.
-    * shift (stride 1, C_in > C_out): one GEMM of the tap-stacked kernel
-      over the input, then the k*k taps summed in a fixed order, each a
-      contiguous slice offset by dy*Wp + dx. Its temporary has k*k*C_out
-      rows. For these wider inputs the kernel-row form measured slower
-      (40 -> 16 and 56 -> 16 channels at 128x128), and faster for every
+    * shift (stride 1, C_in > C_out): a GEMM of the tap-stacked kernel
+      over the input, then the k*k taps summed in row-major order, each
+      a contiguous slice offset by dy*Wp + dx. One GEMM gives all k*k
+      taps, a temporary of k*k*C_out rows, unless that temporary would
+      pass _SHIFT_TAPS_MAX_BYTES; then each kernel row takes its own
+      GEMM over k*C_out rows, and the taps are summed in the same order.
+      For these wider inputs the kernel-row form measured slower (40 ->
+      16 and 56 -> 16 channels at 128x128), and faster for every
       C_in <= C_out shape tried (8 to 32 channels, 16x16 to 128x128).
     * im2col (stride > 1): one GEMM over the strided window matrix.
     """
     c_out, c_in, k, _ = wd.shape
-    _, h, w = x.shape
+    _, h, w = _as_parts(x)[0].shape
     out_h = conv_out_extent(h, stride)
     out_w = conv_out_extent(w, stride)
     if stride != 1:
@@ -415,50 +422,71 @@ def _correlate(x: np.ndarray, wd: np.ndarray, stride: int) -> np.ndarray:
         for dy in range(1, k):
             acc += w_rows[dy] @ x3[:, dy * wp : dy * wp + n]
     else:
-        taps = (wd.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in) @ xf).reshape(k * k, c_out, -1)
+        rows = k if 8 * k * k * c_out * xf.shape[1] <= _SHIFT_TAPS_MAX_BYTES else 1  # kernel rows per GEMM
+        w_groups = wd.transpose(2, 3, 0, 1).reshape(k // rows, rows * k * c_out, c_in)
         offsets = _tap_offsets(k, wp)
-        acc = taps[0, :, :n].copy()
-        for t in range(1, k * k):
-            acc += taps[t, :, offsets[t] : offsets[t] + n]
+        acc = None
+        for i, w_group in enumerate(w_groups):
+            taps = (w_group @ xf).reshape(rows * k, c_out, -1)
+            for t, off in enumerate(offsets[i * rows * k : (i + 1) * rows * k]):
+                if acc is None:
+                    acc = taps[t, :, off : off + n].copy()
+                else:
+                    acc += taps[t, :, off : off + n]
+            del taps  # before the next row's GEMM allocates its own
     return acc.reshape(c_out, out_h, wp)[:, :, :out_w]
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
+def conv2d(x: Tensor | Sequence[Tensor], weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """Same-padded 2-D convolution (cross-correlation).
 
-    x: (C, H, W); weight: (C_out, C, k, k) with odd k; bias: (C_out,).
-    Every convolution zero-pads by k // 2, so the output is
-    ceil(H / stride) x ceil(W / stride) (conv_out_extent).
+    x: (C, H, W), or a sequence of channel parts (C_i, H, W) that stack
+    to it; weight: (C_out, C, k, k) with odd k; bias: (C_out,). The
+    parts go straight into the padded buffer, so the result is the
+    convolution of their concatenation, bit for bit, without a copy of
+    it; each part receives its slice of the input gradient. Every
+    convolution zero-pads by k // 2, so the output is ceil(H / stride)
+    x ceil(W / stride) (conv_out_extent).
     """
-    xd, wd, bd = x.data, weight.data, bias.data
-    if xd.ndim != 3:
-        raise ShapeError(f"conv2d input must be (C, H, W), got {xd.shape}")
+    parts = [x] if isinstance(x, Tensor) else list(x)
+    xds = [p.data for p in parts]
+    wd, bd = weight.data, bias.data
+    if not xds:
+        raise ShapeError("conv2d needs at least one input part")
+    for xd in xds:
+        if xd.ndim != 3 or xd.shape[1:] != xds[0].shape[1:]:
+            raise ShapeError(f"conv2d input must be (C, H, W) parts of one size, got {[p.shape for p in xds]}")
     if wd.ndim != 4:
         raise ShapeError(f"conv2d weight must be (C_out, C_in, k, k), got {wd.shape}")
     c_out, c_in, k, k2 = wd.shape
     if k != k2 or k % 2 != 1:
         raise ShapeError(f"conv2d kernel must be square with odd extent, got {k}x{k2}")
-    if c_in != xd.shape[0]:
-        raise ShapeError(f"conv2d weight expects {c_in} input channels, input has {xd.shape[0]}")
+    offsets = np.cumsum([0] + [xd.shape[0] for xd in xds])
+    if c_in != offsets[-1]:
+        raise ShapeError(f"conv2d weight expects {c_in} input channels, input has {offsets[-1]}")
     if bd.shape != (c_out,):
         raise ShapeError(f"conv2d bias must be ({c_out},), got {bd.shape}")
     if stride < 1:
         raise UsageError(f"conv2d needs stride >= 1, got {stride}")
-    _, h, w = xd.shape
+    _, h, w = xds[0].shape
 
-    out = _correlate(xd, wd, stride) + bd[:, None, None]
+    out = _correlate(xds, wd, stride) + bd[:, None, None]
 
     def back(g):
         # a parent without requires_grad would drop its gradient unread
-        g_x = _conv_input_grad(g, wd, stride, h, w) if x.requires_grad else None
-        g_w = _conv_weight_grad(g, xd, k, stride) if weight.requires_grad else None
-        return g_x, g_w, g.reshape(c_out, -1).sum(axis=1)
+        g_parts = [None] * len(parts)
+        if any(p.requires_grad for p in parts):
+            g_x = _conv_input_grad(g, wd, stride, h, w)
+            g_parts = [g_x[offsets[i] : offsets[i + 1]] for i in range(len(parts))]
+        g_w = _conv_weight_grad(g, xds, k, stride) if weight.requires_grad else None
+        return (*g_parts, g_w, g.reshape(c_out, -1).sum(axis=1))
 
-    return _node(out, (x, weight, bias), back)
+    return _node(out, (*parts, weight, bias), back)
 
 
-def _conv_weight_grad(g: np.ndarray, xd: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Weight gradient of conv2d, (C_out, C_in, k, k), C-contiguous.
+def _conv_weight_grad(g: np.ndarray, x, k: int, stride: int) -> np.ndarray:
+    """Weight gradient of conv2d, (C_out, C_in, k, k), C-contiguous, for
+    the input x: one (C_in, H, W) array or a sequence of channel parts.
 
     Stride 1 takes one GEMM per kernel row dy: the output gradient,
     widened to Wp with its wrap-around columns zeroed, against the
@@ -467,11 +495,11 @@ def _conv_weight_grad(g: np.ndarray, xd: np.ndarray, k: int, stride: int) -> np.
     im2col matrix.
     """
     c_out, out_h, out_w = g.shape
-    c_in = xd.shape[0]
     if stride != 1:
-        cols = _im2col(xd, k, stride, out_h, out_w)
-        return (g.reshape(c_out, -1) @ cols.T).reshape(c_out, c_in, k, k)
-    xf, wp = _flat_padded(xd, k // 2)
+        cols = _im2col(x, k, stride, out_h, out_w)
+        return (g.reshape(c_out, -1) @ cols.T).reshape(c_out, -1, k, k)
+    xf, wp = _flat_padded(x, k // 2)
+    c_in = xf.shape[0]
     x3 = _row_shifts(xf, k)
     n = out_h * wp
     g_pad = np.zeros((c_out, out_h, wp))

@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 import numbers
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -165,6 +166,7 @@ def train_toy(model: CodecModel, dataset: Sequence[np.ndarray], config: Training
     """
     check_type("model", model, CodecModel)
     check_type("config", config, TrainingConfig)
+    check_type("training dataset", dataset, Sequence)
     log = TrainingLog()
     if config.steps == 0:
         return log

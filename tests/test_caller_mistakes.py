@@ -5,7 +5,7 @@ for. Every bytes-like stream still decodes."""
 import numpy as np
 import pytest
 
-from bnvc.codec import decode_sequence, encode_sequence
+from bnvc.codec import decode_sequence, encode_sequence, intra_frame
 from bnvc.errors import UsageError
 from bnvc.model import CodecModel, ModelConfig
 from bnvc.policies import DuplicationPolicy
@@ -52,6 +52,10 @@ MISTAKES = {
     "model_config_str": lambda m, f, d: CodecModel("toy"),
     "model_config_none": lambda m, f, d: CodecModel(None),
     "model_load_int": lambda m, f, d: CodecModel.load(123),
+    "model_save_int": lambda m, f, d: m.save(123),
+    "train_toy_dataset_int": lambda m, f, d: train_toy(m, 5, TrainingConfig(steps=1)),
+    # a str index was stored, and the next frame's index refs[-1].index + 1 raised TypeError
+    "intra_frame_index_str": lambda m, f, d: intra_frame(m, f[0], "0"),
     "train_toy_model_none": lambda m, f, d: train_toy(None, [f], TrainingConfig(steps=1, rollout=1)),
     "train_toy_config_none": lambda m, f, d: train_toy(m, [f], None),
     # without a check here, pad_references refuses it only at the first training step

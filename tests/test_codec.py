@@ -3,9 +3,11 @@ frame and sequence round trips, corruption detection, and refusal paths.
 """
 
 import json
+import tracemalloc
 import zlib
 from collections import Counter, deque
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from bnvc.policies import DuplicationPolicy, pad_references
 from bnvc.synth import generate_sequence
 from bnvc.tensor import Tensor
 
+ROOT = Path(__file__).resolve().parents[1]
 NEAR = DuplicationPolicy.NEAR
 FURTHER = DuplicationPolicy.FURTHER
 
@@ -122,7 +125,7 @@ class TestReferenceFlows:
         warps, fused = [], []
         real_warp, real_fusion = codec.warp_bilinear, model.fusion
         monkeypatch.setattr(codec, "warp_bilinear", lambda *a: warps.append(real_warp(*a)) or warps[-1])
-        monkeypatch.setattr(model, "fusion", lambda warped: fused.append(warped) or real_fusion(warped))
+        monkeypatch.setattr(model, "fusion", lambda warped: fused.append(list(warped)) or real_fusion(warped))
         for n in (1, 2, 4):
             for policy in (NEAR, FURTHER):
                 warps.clear()
@@ -718,3 +721,30 @@ class TestSaveLoadRoundTrip:
         loaded = CodecModel.load(path)
         assert loaded.config.fusion is FusionMode.INDEPENDENT
         assert loaded.config.n_ref == 2
+
+
+class TestStepMemory:
+    # measured 47.3 MB (64-bit Linux, numpy 2), so 2.7 MB of margin; it read
+    # 85.6 MB while every conv input was a concatenated copy, the step held
+    # each fused tensor until fusion returned, and the shift form took all
+    # k*k taps in one GEMM at any size
+    PEAK_BOUND_MB = 50.0
+
+    def test_traced_peak_of_a_128_stream(self, monkeypatch):
+        """Traced allocations of encoding and decoding a 5-frame 128x128 mosaic
+        with the default butterfly model. Their sizes do not hang on timing, so
+        the peak repeats; it is set by the butterfly grid's 56 -> 16 convs."""
+        monkeypatch.syspath_prepend(str(ROOT))
+        from codecbench.workloads import mosaic_sequence
+
+        frames = mosaic_sequence(128, 32, 5, seed=0)
+        model = CodecModel()
+        tracemalloc.start()
+        try:
+            data, _, recons = encode_sequence(frames, model, NEAR)
+            decoded, _ = decode_sequence(data, model)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(decoded, recons)
+        assert peak_mb <= self.PEAK_BOUND_MB, peak_mb

@@ -117,7 +117,7 @@ class TestFusionModes:
     def test_butterfly_equals_composition(self):
         fusion, _ = _fusion(FusionMode.BUTTERFLY)
         warped = _warped(seed=5)
-        whole = fusion(warped)
+        whole = fusion(list(warped))
         pyramids = [fusion.down[j](warped[j]) for j in range(4)]
         composed = fusion.grid(pyramids)
         assert whole.c0.data.tobytes() == composed.c0.data.tobytes()
@@ -139,8 +139,8 @@ class TestFusionModes:
     def test_determinism(self, mode):
         fusion, _ = _fusion(mode, seed=8)
         warped = _warped(seed=11)
-        a = fusion(warped).c0.data.tobytes()
-        b = fusion(warped).c0.data.tobytes()
+        a = fusion(list(warped)).c0.data.tobytes()
+        b = fusion(list(warped)).c0.data.tobytes()
         assert a == b
 
     def test_wrong_reference_count_rejected(self):
@@ -185,7 +185,7 @@ class TestButterflyGradients:
         names = ["fuse.grid.s0.f1.fuse.w", "fuse.down0.res0.conv1.w", "fuse.grid.s2.f0.refine.conv2.w"]
         for name in names:
             store[name].requires_grad = True
-        ctx = fusion(warped)
+        ctx = fusion(list(warped))
         loss = sum_all(ctx.c0)
         loss.backward()
         analytic = {name: store[name].grad.copy() for name in names}
@@ -198,9 +198,9 @@ class TestButterflyGradients:
             idx = 7 % flat.size
             orig = flat[idx]
             flat[idx] = orig + eps
-            hi = float(sum_all(fusion(warped).c0).data)
+            hi = float(sum_all(fusion(list(warped)).c0).data)
             flat[idx] = orig - eps
-            lo = float(sum_all(fusion(warped).c0).data)
+            lo = float(sum_all(fusion(list(warped)).c0).data)
             flat[idx] = orig
             numeric = (hi - lo) / (2 * eps)
             a = float(analytic[name].reshape(-1)[idx])

@@ -21,7 +21,6 @@ from bnvc.tensor import (
     backward,
     bilinear_resize,
     clamp,
-    concat_channels,
     conv2d,
     exp,
     grad_check,
@@ -222,6 +221,92 @@ class TestConv2d:
             conv2d(x, _t(np.zeros((1, 2, 3, 3))), _t(np.zeros(2)))  # bad bias
 
 
+
+def _shift_form_all_taps(x, wd):
+    """The stride-1 shift form as one GEMM over all k*k taps, whatever the
+    size of that (k*k*C_out, L) temporary; taps summed in row-major order."""
+    c_out, c_in, k, _ = wd.shape
+    _, h, w = x.shape
+    xf, wp = tensor_mod._flat_padded(x, k // 2)
+    n = h * wp
+    taps = (wd.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in) @ xf).reshape(k * k, c_out, -1)
+    acc = taps[0, :, :n].copy()
+    for t, off in enumerate(tensor_mod._tap_offsets(k, wp)[1:], 1):
+        acc += taps[t, :, off : off + n]
+    return acc.reshape(c_out, h, wp)[:, :, :w]
+
+
+class TestConvParts:
+    """conv2d over a list of channel parts is conv2d over their
+    np.concatenate, bit for bit, in every form and in every gradient."""
+
+    @pytest.mark.parametrize(
+        "sizes,c_out,hw,stride",
+        [
+            ((4, 3), 16, (9, 7), 1),  # kernel-row: C_in 7 <= C_out 16
+            ((16, 24, 16), 16, (20, 18), 1),  # shift, all taps in one GEMM
+            ((16, 24, 16), 16, (128, 128), 1),  # shift, one GEMM per kernel row
+            ((4, 3, 2), 5, (9, 8), 2),  # im2col
+        ],
+        ids=["kernel_row", "shift_below_cap", "shift_above_cap", "im2col"],
+    )
+    def test_parts_equal_concatenated_input(self, sizes, c_out, hw, stride):
+        rng = np.random.default_rng(sum(sizes) + c_out + stride)
+        parts = [_t(rng.normal(size=(c, *hw)), grad=True) for c in sizes]
+        if len(sizes) == 3:  # the last part is the grid's zero-stride all-zero predecessor
+            parts[-1] = Tensor(np.broadcast_to(0.0, (sizes[-1], *hw)))
+        whole = _t(np.concatenate([p.data for p in parts]), grad=True)
+        c_in, k = whole.shape[0], 3
+        if stride == 1 and c_in > c_out:
+            above = 8 * k * k * c_out * (hw[0] + 3) * (hw[1] + 2) > tensor_mod._SHIFT_TAPS_MAX_BYTES
+            assert above == (hw == (128, 128))
+        wv, bv = rng.normal(size=(c_out, c_in, k, k)), rng.normal(size=c_out)
+        w1, w2 = _t(wv, grad=True), _t(wv.copy(), grad=True)
+        b1, b2 = _t(bv, grad=True), _t(bv.copy(), grad=True)
+        y_parts = conv2d(parts, w1, b1, stride)
+        y_whole = conv2d(whole, w2, b2, stride)
+        assert y_parts.data.tobytes() == y_whole.data.tobytes()
+        g = rng.normal(size=y_whole.shape)
+        sum_all(y_parts * g).backward()
+        sum_all(y_whole * g).backward()
+        start = 0
+        for p in parts:
+            c = p.shape[0]
+            if p.requires_grad:
+                assert p.grad.tobytes() == whole.grad[start : start + c].tobytes()
+            else:
+                assert p.grad is None
+            start += c
+        assert w1.grad.tobytes() == w2.grad.tobytes()
+        assert b1.grad.tobytes() == b2.grad.tobytes()
+
+    def test_single_part_list_equals_tensor(self):
+        rng = np.random.default_rng(3)
+        x = _t(rng.normal(size=(3, 6, 5)))
+        w, b = _t(rng.normal(size=(2, 3, 3, 3))), _t(rng.normal(size=2))
+        assert conv2d([x], w, b).data.tobytes() == conv2d(x, w, b).data.tobytes()
+
+    def test_part_shape_errors(self):
+        w, b = _t(np.zeros((1, 3, 3, 3))), _t(np.zeros(1))
+        with pytest.raises(ShapeError):
+            conv2d([], w, b)
+        with pytest.raises(ShapeError):
+            conv2d([_t(np.zeros((2, 4, 4))), _t(np.zeros((1, 4, 5)))], w, b)  # sizes differ
+        with pytest.raises(ShapeError):
+            conv2d([_t(np.zeros((2, 4, 4))), _t(np.zeros((2, 4, 4)))], w, b)  # 4 channels, not 3
+
+    @pytest.mark.parametrize("c_in,size", [(56, 128), (64, 64)])
+    def test_shift_form_equals_all_taps_gemm(self, c_in, size):
+        """56 -> 16 at 128x128 (19.6 MB of taps) runs one GEMM per kernel row;
+        64 -> 16 at 64x64 (5.1 MB) stays under the cap and runs one GEMM."""
+        rng = np.random.default_rng(c_in + size)
+        x = rng.normal(size=(c_in, size, size))
+        wd = rng.normal(size=(16, c_in, 3, 3))
+        taps_bytes = 8 * 9 * 16 * (size + 3) * (size + 2)
+        assert (taps_bytes > tensor_mod._SHIFT_TAPS_MAX_BYTES) == (size == 128)
+        assert np.array_equal(tensor_mod._correlate(x, wd, 1), _shift_form_all_taps(x, wd))
+
+
 class TestBilinearResize:
     def test_identity_size(self):
         rng = np.random.default_rng(1)
@@ -354,6 +439,24 @@ class TestWarpBilinear:
         gy, gx = tensor_mod._pixel_grid(3, 4)
         with pytest.raises(ValueError):
             gx[0, 0] = 1.0
+
+
+
+class TestLeakyRelu:
+    def test_equals_masked_select_bit_for_bit(self):
+        """max(x, 0.1 x) is where(x >= 0, x, 0.1 x) on every value, signed
+        zeros, infinities, NaNs and subnormals included."""
+        rng = np.random.default_rng(12)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-320, -1e-320]
+        x = np.concatenate([special, rng.normal(size=1000), rng.normal(size=1000) * 1e-310])
+        xt = _t(x, grad=True)
+        y = leaky_relu(xt)
+        want = np.where(x >= 0.0, x, 0.1 * x)
+        assert y.data.tobytes() == want.tobytes()
+        g = rng.normal(size=x.shape)
+        with np.errstate(invalid="ignore"):  # the loss sums inf and -inf terms
+            sum_all(y * g).backward()
+        assert xt.grad.tobytes() == np.where(x >= 0.0, g, 0.1 * g).tobytes()
 
 
 class TestBackward:
