@@ -453,17 +453,18 @@ def conv2d(x: Tensor | Sequence[Tensor], weight: Tensor, bias: Tensor, stride: i
     wd, bd = weight.data, bias.data
     if not xds:
         raise ShapeError("conv2d needs at least one input part")
+    bounds = [0]  # each part's first channel, then the channel count
     for xd in xds:
         if xd.ndim != 3 or xd.shape[1:] != xds[0].shape[1:]:
             raise ShapeError(f"conv2d input must be (C, H, W) parts of one size, got {[p.shape for p in xds]}")
+        bounds.append(bounds[-1] + xd.shape[0])
     if wd.ndim != 4:
         raise ShapeError(f"conv2d weight must be (C_out, C_in, k, k), got {wd.shape}")
     c_out, c_in, k, k2 = wd.shape
     if k != k2 or k % 2 != 1:
         raise ShapeError(f"conv2d kernel must be square with odd extent, got {k}x{k2}")
-    offsets = np.cumsum([0] + [xd.shape[0] for xd in xds])
-    if c_in != offsets[-1]:
-        raise ShapeError(f"conv2d weight expects {c_in} input channels, input has {offsets[-1]}")
+    if c_in != bounds[-1]:
+        raise ShapeError(f"conv2d weight expects {c_in} input channels, input has {bounds[-1]}")
     if bd.shape != (c_out,):
         raise ShapeError(f"conv2d bias must be ({c_out},), got {bd.shape}")
     if stride < 1:
@@ -477,7 +478,7 @@ def conv2d(x: Tensor | Sequence[Tensor], weight: Tensor, bias: Tensor, stride: i
         g_parts = [None] * len(parts)
         if any(p.requires_grad for p in parts):
             g_x = _conv_input_grad(g, wd, stride, h, w)
-            g_parts = [g_x[offsets[i] : offsets[i + 1]] for i in range(len(parts))]
+            g_parts = [g_x[a:b] for a, b in zip(bounds, bounds[1:])]
         g_w = _conv_weight_grad(g, xds, k, stride) if weight.requires_grad else None
         return (*g_parts, g_w, g.reshape(c_out, -1).sum(axis=1))
 
