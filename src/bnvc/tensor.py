@@ -11,8 +11,8 @@ Design constraints, in order of priority:
   stride 1 with C_in <= C_out runs one GEMM per kernel row over the
   input stacked at its k horizontal shifts; stride 1 with C_in > C_out
   sums k*k shifted-slice GEMM taps in a fixed order, taken from one
-  GEMM, or from one GEMM per kernel row where one would make a
-  temporary over 8 MiB; larger strides multiply by an im2col matrix.
+  GEMM, run over column chunks of the input where its temporary would
+  pass 8 MiB; larger strides multiply by an im2col matrix.
 * Correctness. Every differentiable op carries an analytic gradient
   that is validated against central finite differences (grad_check).
 * Just enough surface. Only the operations the codec networks need
@@ -321,7 +321,7 @@ def mean_all(x: Tensor) -> Tensor:
 # -- convolution ----------------------------------------------------------
 
 #: Largest tap temporary, in bytes, that the shift form makes in one GEMM;
-#: above it the form runs one GEMM per kernel row.
+#: above it the form runs its GEMM over column chunks of the input.
 _SHIFT_TAPS_MAX_BYTES = 8 << 20
 
 
@@ -330,18 +330,12 @@ def conv_out_extent(extent: int, stride: int) -> int:
     return (extent - 1) // stride + 1
 
 
-def _as_parts(x) -> Sequence[np.ndarray]:
-    """A (C, H, W) array, or a sequence of (C_i, H, W) channel parts, as parts."""
-    return (x,) if isinstance(x, np.ndarray) else x
-
-
-def _flat_padded(x, pad: int) -> tuple[np.ndarray, int]:
-    """x, one (C, H, W) array or a sequence of channel parts that stack
-    to it, zero-padded by `pad` plus one spare bottom row, flattened to
-    (C, (Hp + 1) * Wp), and the padded width Wp. Each part is written
-    straight into the buffer, so the parts are never concatenated. The
-    spare row keeps the last tap's slice in bounds."""
-    parts = _as_parts(x)
+def _flat_padded(parts: Sequence[np.ndarray], pad: int) -> tuple[np.ndarray, int]:
+    """The (C_i, H, W) channel parts, stacked, zero-padded by `pad` plus
+    one spare bottom row, flattened to (C, (Hp + 1) * Wp), and the padded
+    width Wp. Each part is written straight into the buffer, so the parts
+    are never concatenated. The spare row keeps the last tap's slice in
+    bounds."""
     _, h, w = parts[0].shape
     wp = w + 2 * pad
     xp = np.zeros((sum(p.shape[0] for p in parts), h + 2 * pad + 1, wp))
@@ -352,8 +346,8 @@ def _flat_padded(x, pad: int) -> tuple[np.ndarray, int]:
     return xp.reshape(c, -1), wp
 
 
-def _im2col(x, k: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
-    xf, wp = _flat_padded(x, k // 2)
+def _im2col(parts: Sequence[np.ndarray], k: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
+    xf, wp = _flat_padded(parts, k // 2)
     c = xf.shape[0]
     xp = xf.reshape(c, -1, wp)[:, :-1]
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
@@ -379,10 +373,10 @@ def _row_shifts(xf: np.ndarray, k: int) -> np.ndarray:
     return x3.reshape(k * c, m)
 
 
-def _correlate(x, wd: np.ndarray, stride: int) -> np.ndarray:
-    """Bias-free, same-padded cross-correlation of x (C_in, H, W), one
-    array or a sequence of channel parts, with wd (C_out, C_in, k, k):
-    zero padding k // 2 on every side, output ceil(H / stride) x
+def _correlate(parts: Sequence[np.ndarray], wd: np.ndarray, stride: int) -> np.ndarray:
+    """Bias-free, same-padded cross-correlation of the (C_i, H, W)
+    channel parts, which stack to (C_in, H, W), with wd (C_out, C_in, k,
+    k): zero padding k // 2 on every side, output ceil(H / stride) x
     ceil(W / stride).
 
     Three forms, chosen by stride and channel counts; each works on the
@@ -396,24 +390,32 @@ def _correlate(x, wd: np.ndarray, stride: int) -> np.ndarray:
       dx and C_in sums happen inside each GEMM. Its temporary is k times
       the input.
     * shift (stride 1, C_in > C_out): a GEMM of the tap-stacked kernel
-      over the input, then the k*k taps summed in row-major order, each
-      a contiguous slice offset by dy*Wp + dx. One GEMM gives all k*k
-      taps, a temporary of k*k*C_out rows, unless that temporary would
-      pass _SHIFT_TAPS_MAX_BYTES; then each kernel row takes its own
-      GEMM over k*C_out rows, and the taps are summed in the same order.
-      For these wider inputs the kernel-row form measured slower (40 ->
-      16 and 56 -> 16 channels at 128x128), and faster for every
-      C_in <= C_out shape tried (8 to 32 channels, 16x16 to 128x128).
+      (k*k*C_out, C_in) over the input, then the k*k taps summed in
+      row-major order, each a contiguous slice offset by dy*Wp + dx.
+      Where the (k*k*C_out, L) tap temporary would pass
+      _SHIFT_TAPS_MAX_BYTES, the GEMM runs over even column chunks of
+      the input instead, each with the (k-1)*(Wp+1) columns its taps
+      read past it, and sums the taps of each chunk's output columns.
+      The chunks keep the single GEMM's rows and inner dimension, start
+      on a multiple of 64 columns, and the last one ends where the input
+      ends; they gave the single GEMM's bits on every OpenBLAS x86 kernel
+      tried at one and two threads, except Nehalem's and Core2's at two,
+      whose single GEMM also changes bits with the thread count. A split
+      by kernel row instead changed last bits on the Haswell kernels for
+      C_out 2, 3 and 7. For these wider inputs the
+      kernel-row form measured slower (40 -> 16 and 56 -> 16 channels at
+      128x128), and faster for every C_in <= C_out shape tried (8 to 32
+      channels, 16x16 to 128x128).
     * im2col (stride > 1): one GEMM over the strided window matrix.
     """
     c_out, c_in, k, _ = wd.shape
-    _, h, w = _as_parts(x)[0].shape
+    _, h, w = parts[0].shape
     out_h = conv_out_extent(h, stride)
     out_w = conv_out_extent(w, stride)
     if stride != 1:
-        cols = _im2col(x, k, stride, out_h, out_w)
+        cols = _im2col(parts, k, stride, out_h, out_w)
         return (wd.reshape(c_out, -1) @ cols).reshape(c_out, out_h, out_w)
-    xf, wp = _flat_padded(x, k // 2)
+    xf, wp = _flat_padded(parts, k // 2)
     n = out_h * wp
     if c_in <= c_out:
         x3 = _row_shifts(xf, k)
@@ -421,19 +423,25 @@ def _correlate(x, wd: np.ndarray, stride: int) -> np.ndarray:
         acc = w_rows[0] @ x3[:, :n]
         for dy in range(1, k):
             acc += w_rows[dy] @ x3[:, dy * wp : dy * wp + n]
-    else:
-        rows = k if 8 * k * k * c_out * xf.shape[1] <= _SHIFT_TAPS_MAX_BYTES else 1  # kernel rows per GEMM
-        w_groups = wd.transpose(2, 3, 0, 1).reshape(k // rows, rows * k * c_out, c_in)
-        offsets = _tap_offsets(k, wp)
-        acc = None
-        for i, w_group in enumerate(w_groups):
-            taps = (w_group @ xf).reshape(rows * k, c_out, -1)
-            for t, off in enumerate(offsets[i * rows * k : (i + 1) * rows * k]):
-                if acc is None:
-                    acc = taps[t, :, off : off + n].copy()
-                else:
-                    acc += taps[t, :, off : off + n]
-            del taps  # before the next row's GEMM allocates its own
+        return acc.reshape(c_out, out_h, wp)[:, :, :out_w]
+    w_taps = wd.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
+    offsets = _tap_offsets(k, wp)
+    length = xf.shape[1]
+    align = 64
+    reach = -(-offsets[-1] // align) * align  # columns past a chunk its taps read
+    fit = _SHIFT_TAPS_MAX_BYTES // (8 * k * k * c_out) - reach
+    chunks = -(-n // max(fit // align * align, align))
+    step = -(-n // (chunks * align)) * align  # even chunks: none left tiny
+    acc = np.empty((c_out, n))
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        end = length if b == n else b + reach
+        taps = (w_taps @ xf[:, a:end]).reshape(k * k, c_out, -1)
+        out = acc[:, a:b]
+        out[...] = taps[0, :, : b - a]
+        for t in range(1, k * k):
+            out += taps[t, :, offsets[t] : offsets[t] + b - a]
+        del taps  # before the next chunk's GEMM allocates its own
     return acc.reshape(c_out, out_h, wp)[:, :, :out_w]
 
 
@@ -485,9 +493,9 @@ def conv2d(x: Tensor | Sequence[Tensor], weight: Tensor, bias: Tensor, stride: i
     return _node(out, (*parts, weight, bias), back)
 
 
-def _conv_weight_grad(g: np.ndarray, x, k: int, stride: int) -> np.ndarray:
+def _conv_weight_grad(g: np.ndarray, parts: Sequence[np.ndarray], k: int, stride: int) -> np.ndarray:
     """Weight gradient of conv2d, (C_out, C_in, k, k), C-contiguous, for
-    the input x: one (C_in, H, W) array or a sequence of channel parts.
+    the input given as its (C_i, H, W) channel parts.
 
     Stride 1 takes one GEMM per kernel row dy: the output gradient,
     widened to Wp with its wrap-around columns zeroed, against the
@@ -497,9 +505,9 @@ def _conv_weight_grad(g: np.ndarray, x, k: int, stride: int) -> np.ndarray:
     """
     c_out, out_h, out_w = g.shape
     if stride != 1:
-        cols = _im2col(x, k, stride, out_h, out_w)
+        cols = _im2col(parts, k, stride, out_h, out_w)
         return (g.reshape(c_out, -1) @ cols.T).reshape(c_out, -1, k, k)
-    xf, wp = _flat_padded(x, k // 2)
+    xf, wp = _flat_padded(parts, k // 2)
     c_in = xf.shape[0]
     x3 = _row_shifts(xf, k)
     n = out_h * wp
@@ -527,7 +535,7 @@ def _conv_input_grad(g: np.ndarray, wd: np.ndarray, stride: int, h: int, w: int)
     else:
         gd = g
     wflip = np.ascontiguousarray(wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    return _correlate(gd, wflip, 1)
+    return _correlate([gd], wflip, 1)
 
 
 # -- bilinear resize -------------------------------------------------------

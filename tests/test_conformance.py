@@ -9,6 +9,10 @@ case in CASES there and here:
 * the numpy test switches off numpy's AVX512 dispatch, which picks the
   `exp` and `log` kernels.
 
+The shift-form test runs the conv's column-chunked GEMM under other
+OpenBLAS kernels and thread counts, and checks it against one GEMM over
+all taps under the same kernels.
+
 Each child reports what it ran, through the benchmark's own BLAS probe
 and a hash of `np.exp` over a fixed grid. If the request was ignored, or
 this host already runs those kernels, the test skips instead of passing
@@ -25,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bnvc import tensor
 from bnvc.codec import decode_sequence, encode_sequence
 from bnvc.model import CodecModel
 
@@ -99,3 +104,39 @@ def test_stream_identical_without_avx512_math(tmp_path):
     if forced["exp"] == default["exp"]:
         pytest.skip(f"np.exp computes the same with {NO_AVX512!r} disabled: no AVX512 kernels to switch off")
     _assert_child_streams_match(tmp_path)
+
+
+# (C_in, C_out, size) shift-form convs whose all-taps temporary passes the
+# cap. A split of the GEMM by kernel row changed last bits on the Haswell
+# kernels for C_out 2, 3 and 7; the codec's gen_out (-> 3) and mv_dec3
+# (-> 2) cross the cap from about 200x200 frames.
+SHIFT_CASES = [(16, 3, 208), (16, 2, 256), (33, 7, 130), (56, 16, 128)]
+
+SHIFT_CHILD = """
+import json, sys
+import numpy as np
+from bnvc import tensor
+from codecbench.run import _blas_info
+sys.path.insert(0, "tests")
+from test_tensor import _shift_form_all_taps
+
+differ = []
+for c_in, c_out, size in json.loads(sys.argv[1]):
+    rng = np.random.default_rng(c_in + c_out + size)
+    x = rng.normal(size=(c_in, size, size))
+    wd = rng.normal(size=(c_out, c_in, 3, 3))
+    if not np.array_equal(tensor._correlate([x], wd, 1), _shift_form_all_taps(x, wd)):
+        differ.append([c_in, c_out, size])
+print(json.dumps({**_blas_info(), "differ": differ}))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_chunked_shift_form_equals_one_gemm_across_cores(core, threads):
+    for c_in, c_out, size in SHIFT_CASES:
+        assert 8 * 9 * c_out * (size + 3) * (size + 2) > tensor._SHIFT_TAPS_MAX_BYTES
+    child = _run_child([SHIFT_CHILD, json.dumps(SHIFT_CASES)], OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS=threads)
+    if child.get("coretype", "").lower() != core.lower():
+        pytest.skip(f"OpenBLAS did not switch to {core}: child reports {child}")
+    assert child["differ"] == [], child

@@ -92,7 +92,7 @@ class TestGridFuse:
         fusion, _ = _fusion(mode, width=8)
         rng = np.random.default_rng(3)
         warped = [Tensor(rng.normal(size=(8, 16, 16)), requires_grad=True) for _ in range(4)]
-        ctx = fusion(warped)
+        ctx = fusion(list(warped))
         sum_all(ctx.c0).backward()
         for j, t in enumerate(warped):
             assert t.grad is not None

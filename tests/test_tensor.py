@@ -82,7 +82,7 @@ def _conv_weight_grad_per_tap(g, x, k):
     padded input: each element is the dot product of the output gradient
     with the input shifted by that tap."""
     c_out, out_h, out_w = g.shape
-    xf, wp = tensor_mod._flat_padded(x, k // 2)
+    xf, wp = tensor_mod._flat_padded([x], k // 2)
     n = out_h * wp
     g_pad = np.zeros((c_out, out_h, wp))
     g_pad[:, :, :out_w] = g
@@ -194,7 +194,7 @@ class TestConv2d:
         rng = np.random.default_rng(100 * c_in + 10 * c_out + k)
         x = rng.normal(size=(c_in, 13, 11))
         g = rng.normal(size=(c_out, 13, 11))
-        got = tensor_mod._conv_weight_grad(g, x, k, 1)
+        got = tensor_mod._conv_weight_grad(g, [x], k, 1)
         assert got.flags.c_contiguous
         # same dot products, but the BLAS kernel it picks depends on the GEMM's
         # shape, so the summation order inside each one may differ
@@ -227,7 +227,7 @@ def _shift_form_all_taps(x, wd):
     size of that (k*k*C_out, L) temporary; taps summed in row-major order."""
     c_out, c_in, k, _ = wd.shape
     _, h, w = x.shape
-    xf, wp = tensor_mod._flat_padded(x, k // 2)
+    xf, wp = tensor_mod._flat_padded([x], k // 2)
     n = h * wp
     taps = (wd.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in) @ xf).reshape(k * k, c_out, -1)
     acc = taps[0, :, :n].copy()
@@ -304,7 +304,7 @@ class TestConvParts:
         wd = rng.normal(size=(16, c_in, 3, 3))
         taps_bytes = 8 * 9 * 16 * (size + 3) * (size + 2)
         assert (taps_bytes > tensor_mod._SHIFT_TAPS_MAX_BYTES) == (size == 128)
-        assert np.array_equal(tensor_mod._correlate(x, wd, 1), _shift_form_all_taps(x, wd))
+        assert np.array_equal(tensor_mod._correlate([x], wd, 1), _shift_form_all_taps(x, wd))
 
 
 class TestBilinearResize:
