@@ -245,7 +245,7 @@ class TestConvParts:
         [
             ((4, 3), 16, (9, 7), 1),  # kernel-row: C_in 7 <= C_out 16
             ((16, 24, 16), 16, (20, 18), 1),  # shift, all taps in one GEMM
-            ((16, 24, 16), 16, (128, 128), 1),  # shift, one GEMM per kernel row
+            ((16, 24, 16), 16, (128, 128), 1),  # shift, GEMM over column chunks
             ((4, 3, 2), 5, (9, 8), 2),  # im2col
         ],
         ids=["kernel_row", "shift_below_cap", "shift_above_cap", "im2col"],
@@ -295,15 +295,20 @@ class TestConvParts:
         with pytest.raises(ShapeError):
             conv2d([_t(np.zeros((2, 4, 4))), _t(np.zeros((2, 4, 4)))], w, b)  # 4 channels, not 3
 
-    @pytest.mark.parametrize("c_in,size", [(56, 128), (64, 64)])
-    def test_shift_form_equals_all_taps_gemm(self, c_in, size):
-        """56 -> 16 at 128x128 (19.6 MB of taps) runs one GEMM per kernel row;
-        64 -> 16 at 64x64 (5.1 MB) stays under the cap and runs one GEMM."""
-        rng = np.random.default_rng(c_in + size)
-        x = rng.normal(size=(c_in, size, size))
-        wd = rng.normal(size=(16, c_in, 3, 3))
-        taps_bytes = 8 * 9 * 16 * (size + 3) * (size + 2)
-        assert (taps_bytes > tensor_mod._SHIFT_TAPS_MAX_BYTES) == (size == 128)
+    @pytest.mark.parametrize(
+        "c_in,c_out,h,w,above",
+        [(56, 16, 128, 128, True), (64, 16, 64, 64, False), (2, 1, 4000, 29, True)],
+    )
+    def test_shift_form_equals_all_taps_gemm(self, c_in, c_out, h, w, above):
+        """56 -> 16 at 128x128 (19.6 MB of taps) runs its GEMM over column chunks;
+        64 -> 16 at 64x64 (5.1 MB) stays under the cap and runs one GEMM;
+        2 -> 1 at 4000x29 (8.9 MB) has padded rows 31 columns wide, so its
+        chunk boundary falls mid-row."""
+        rng = np.random.default_rng(c_in + h)
+        x = rng.normal(size=(c_in, h, w))
+        wd = rng.normal(size=(c_out, c_in, 3, 3))
+        taps_bytes = 8 * 9 * c_out * (h + 3) * (w + 2)
+        assert (taps_bytes > tensor_mod._SHIFT_TAPS_MAX_BYTES) == above
         assert np.array_equal(tensor_mod._correlate([x], wd, 1), _shift_form_all_taps(x, wd))
 
 
