@@ -19,9 +19,8 @@ step (drift-free by construction, asserted by tests).
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +33,7 @@ from .bitstream import (
 )
 from .entropy import DecoderState, TableSet, build_logistic_cdf_rows, gaussian_tables, range_decode, range_encode
 from .errors import CorruptStreamError, UsageError, check_frames, check_int, check_type
-from .metrics import psnr
+from .metrics import EncodeStats, psnr
 from .model import CodecModel
 from .motion import compose_flows, estimate_motion
 from .policies import DuplicationPolicy, pad_references
@@ -255,28 +254,6 @@ def decode_frame(
 
 # -- sequence coding ------------------------------------------------------------------
 
-@dataclass
-class EncodeStats:
-    """Rate/quality accounting for one encoded sequence."""
-
-    width: int
-    height: int
-    n_frames: int
-    total_bits: int
-    frame_bits: list[int] = field(default_factory=list)
-    frame_psnr: list[float] = field(default_factory=list)
-    frame_types: list[str] = field(default_factory=list)
-
-    @property
-    def bpp(self) -> float:
-        return self.total_bits / (self.n_frames * self.width * self.height)
-
-    @property
-    def mean_p_frame_psnr(self) -> float:
-        vals = [p for p, t in zip(self.frame_psnr, self.frame_types) if t == "P"]
-        return float(np.mean(vals)) if vals else math.inf
-
-
 def encode_sequence(
     frames: np.ndarray,
     model: CodecModel,
@@ -322,6 +299,7 @@ def encode_sequence(
         width=w,
         height=h,
         n_frames=n,
+        n_ref=model.config.n_ref,
         total_bits=8 * len(data),
         frame_bits=list(writer.frame_bits),
         frame_psnr=psnrs,

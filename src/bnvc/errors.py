@@ -3,7 +3,7 @@ rules: `check_int` (an int, not a bool, within bounds) for the integer fields
 of `ModelConfig`, `StreamHeader`, `TrainingConfig`, `LossModelParams`,
 `codec.Frame`, `CodecModel`'s seed and `pad_references`; `check_type` (an
 instance of one class) for the model, config, policy and fusion-mode
-arguments and `train_toy`'s dataset; and
+arguments, `train_toy`'s dataset and `metrics.rd_by_position`'s stats; and
 `check_frames` (uint8 planar RGB, no empty axis) for `codec.Frame`,
 `encode_sequence`, `train_toy` and the `frameio` writers.
 

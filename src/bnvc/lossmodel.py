@@ -101,9 +101,9 @@ def total_loss(params: LossModelParams) -> tuple[list[float], float]:
     """Per-frame losses L_1..L_T under `params`, plus their sum.
 
     Frame t's reference multiset is the padded list of the most recent
-    decoded P-frames, built by `pad_references`, the rule the codec uses
-    to pad its warped reference features, so the analytic model and the
-    codec can never drift apart on which frame gets duplicated.
+    decoded P-frames, built by `pad_references` as the codec pads its
+    warped features, but from P frames alone: the codec's list starts
+    with the intra frame (see `policies`), so at t = 2 the two differ.
     """
     losses: list[float] = []
     for t in range(1, params.T + 1):
@@ -163,8 +163,9 @@ def critical_alpha_numeric(beta: float, alpha_max: float = 1.0) -> Optional[floa
     """Crossover alpha found directly from the recurrences, or None.
 
     Bisects g(alpha) = total_loss(FURTHER) - total_loss(NEAR) on
-    (0, alpha_max] to 1e-12. Returns None when g has no sign change on
-    the interval, meaning a single policy dominates everywhere on it.
+    (0, alpha_max] to 1e-12, at `_policy_gap`'s defaults n_ref 4 and
+    T 4. Returns None when g has no sign change on the interval, meaning
+    a single policy dominates everywhere on it.
     """
     if not (0.0 < beta < 1.0):
         raise UsageError(f"beta must lie in (0, 1), got {beta}")

@@ -3,8 +3,11 @@
 When fewer decoded frames exist than the model's reference count, the
 list is padded by repeating either the newest decoded frame (NEAR) or
 the oldest one (FURTHER). The codec pads its warped reference features
-with this rule, and the analytic error-accumulation model pads frame
-indices with it, so the two stay consistent by construction.
+with this rule and `lossmodel.total_loss` pads P-frame indices with it,
+but the lists differ: the codec's starts with the intra frame. At P
+frame 2 with n_ref 4 the model pads [1] to [1, 1, 1, 1] under both
+policies; the codec pads [I, P1] to [I, P1, P1, P1] (NEAR) or
+[I, I, I, P1] (FURTHER).
 """
 
 from __future__ import annotations

@@ -10,6 +10,8 @@ feature and flow tensors, so gradients flow through the intra frame's
 extracted feature, stored features and composed flows across the whole
 window (motion search itself is integer block matching and enters as a
 constant).
+
+The RD figures of real coding come from `metrics.rd_by_position`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import Noise, encode_sequence, inter_step, intra_frame, pixels_to_tensor
+from .codec import Noise, inter_step, intra_frame, pixels_to_tensor
 from .errors import BnvcError, UsageError, check_frames, check_int, check_type
 from .model import LAMBDA_VALUES, CodecModel
 from .policies import DuplicationPolicy
@@ -35,8 +37,6 @@ __all__ = [
     "TrainingDiverged",
     "Adam",
     "train_toy",
-    "evaluate_coding",
-    "per_frame_distortion",
 ]
 
 
@@ -197,51 +197,3 @@ def train_toy(model: CodecModel, dataset: Sequence[np.ndarray], config: Training
         opt.zero_grad()
         model.store.set_requires_grad(False)
     return log
-
-
-def evaluate_coding(
-    model: CodecModel,
-    sequences: Sequence[np.ndarray],
-    lambda_index: int,
-    policy: DuplicationPolicy = DuplicationPolicy.NEAR,
-    intra_period: int = 32,
-) -> dict:
-    """Real (integer, entropy-coded) evaluation on held-out sequences.
-
-    Returns mean bpp, mean inter-frame MSE (in [0,1]^2 units), the
-    rate-distortion objective lambda*MSE + bpp, and mean inter PSNR.
-    """
-    lam = LAMBDA_VALUES[check_int("lambda index", lambda_index, 0, len(LAMBDA_VALUES) - 1)]
-    bpps, mses, psnrs = [], [], []
-    for seq in sequences:
-        data, stats, recons = encode_sequence(seq, model, policy, lambda_index, intra_period)
-        p_idx = [i for i, t in enumerate(stats.frame_types) if t == "P"]
-        err = (seq[p_idx].astype(np.float64) - recons[p_idx].astype(np.float64)) / 255.0
-        mses.append(float(np.mean(err * err)))
-        bpps.append(stats.bpp)
-        psnrs.append(stats.mean_p_frame_psnr)
-    mean_bpp = float(np.mean(bpps))
-    mean_mse = float(np.mean(mses))
-    return {
-        "bpp": mean_bpp,
-        "mse": mean_mse,
-        "objective": lam * mean_mse + mean_bpp,
-        "psnr": float(np.mean(psnrs)),
-        "lambda": lam,
-    }
-
-
-def per_frame_distortion(
-    model: CodecModel,
-    seq: np.ndarray,
-    policy: DuplicationPolicy,
-    n_inter: int = 3,
-) -> list[float]:
-    """MSE of the first `n_inter` inter frames after one intra frame."""
-    window = seq[: n_inter + 1]
-    _, _, recons = encode_sequence(window, model, policy, lambda_index=2, intra_period=n_inter + 1)
-    out = []
-    for i in range(1, n_inter + 1):
-        err = (window[i].astype(np.float64) - recons[i].astype(np.float64)) / 255.0
-        out.append(float(np.mean(err * err)))
-    return out

@@ -7,10 +7,11 @@ import pytest
 
 from bnvc.codec import decode_sequence, encode_sequence, intra_frame
 from bnvc.errors import UsageError
+from bnvc.metrics import rd_by_position
 from bnvc.model import CodecModel, ModelConfig
 from bnvc.policies import DuplicationPolicy
 from bnvc.synth import generate_sequence
-from bnvc.training import TrainingConfig, evaluate_coding, train_toy
+from bnvc.training import TrainingConfig, train_toy
 
 NEAR = DuplicationPolicy.NEAR
 
@@ -44,7 +45,12 @@ MISTAKES = {
     "training_lr_str": lambda m, f, d: TrainingConfig(lr="x"),
     "training_lr_nan": lambda m, f, d: TrainingConfig(lr=float("nan")),
     "training_lr_bool": lambda m, f, d: TrainingConfig(lr=True),
-    "evaluate_lambda_index_str": lambda m, f, d: evaluate_coding(m, [f], "2"),
+    "rd_by_position_empty": lambda m, f, d: rd_by_position([]),
+    "rd_by_position_none": lambda m, f, d: rd_by_position(None),
+    "rd_by_position_frames": lambda m, f, d: rd_by_position([f]),
+    "rd_by_position_mixed_n_ref": lambda m, f, d: rd_by_position(
+        [encode_sequence(f, m, NEAR)[1], encode_sequence(f, CodecModel(ModelConfig.toy(n_ref=2)), NEAR)[1]]
+    ),
     "train_toy_3d_sequence": lambda m, f, d: train_toy(
         CodecModel(ModelConfig.toy()), [np.zeros((6, 32, 32), np.uint8)], TrainingConfig(steps=1)
     ),

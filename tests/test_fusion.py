@@ -108,7 +108,7 @@ class TestGridFuse:
 
 
 class TestFusionModes:
-    def test_together_first_conv_consumes_concat_channels(self):
+    def test_together_first_conv_consumes_all_channel_parts(self):
         fusion, store = _fusion(FusionMode.TOGETHER)
         assert store["fuse.merge_in.w"].data.shape == (16, 64, 3, 3)
         ctx = fusion(_warped())

@@ -1,4 +1,4 @@
-"""Tests for PSNR and BD-rate arithmetic.
+"""Tests for PSNR, P-frame RD grouping and BD-rate arithmetic.
 
 The BD-rate oracle is an independent numerical quadrature: the same
 cubic fits, but integrated with a fine trapezoid rule instead of exact
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bnvc.errors import UsageError
-from bnvc.metrics import RDPoint, bd_rate, psnr
+from bnvc.metrics import EncodeStats, RDPoint, bd_rate, psnr, rd_by_position
 
 
 def _trapezoid_bd_rate(anchor, test, samples=200_001):
@@ -67,6 +67,59 @@ class TestPsnr:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(UsageError):
             psnr(np.zeros((4, 4, 3), np.uint8), np.zeros((4, 5, 3), np.uint8))
+
+
+def _stats(types, bits, psnrs, n_ref=4):
+    """Hand-built accounting of a 4x2 sequence; total_bits is not read by the grouping."""
+    return EncodeStats(4, 2, len(types), n_ref, sum(bits), list(bits), list(psnrs), list(types))
+
+
+# two GOPs at intra period 6: P frames at positions 1..5 after each intra
+TWO_GOPS = _stats(
+    "IPPPPPIPPPPP",
+    [1000, 10, 20, 30, 40, 50, 2000, 60, 70, 80, 90, 100],
+    [99.0, 20.0, 21.0, 22.0, 23.0, 15.0, 99.0, 24.0, 25.0, 26.0, 27.0, 17.0],
+)
+
+
+class TestRdByPosition:
+    def test_groups_at_n_ref_4(self):
+        assert rd_by_position([TWO_GOPS]) == {
+            "padded": RDPoint((10 + 20 + 30 + 60 + 70 + 80) / 48, 23.0),
+            "intra_ref": RDPoint(400 / 64, 23.5),
+            # positions restart at the second intra, so only frames 5 and 11 are past it
+            "past_intra": RDPoint((50 + 100) / 16, 16.0),
+            "all": RDPoint(550 / 80, 22.0),
+        }
+
+    def test_sequences_pool_like_one(self):
+        s = TWO_GOPS
+        halves = [_stats(s.frame_types[i : i + 6], s.frame_bits[i : i + 6], s.frame_psnr[i : i + 6]) for i in (0, 6)]
+        assert rd_by_position(halves) == rd_by_position([TWO_GOPS])
+
+    def test_n_ref_1_pads_nothing(self):
+        s = TWO_GOPS
+        out = rd_by_position([_stats(s.frame_types, s.frame_bits, s.frame_psnr, n_ref=1)])
+        assert out == {
+            "intra_ref": RDPoint((10 + 60) / 16, 22.0),
+            "past_intra": RDPoint(480 / 64, 22.0),
+            "all": RDPoint(550 / 80, 22.0),
+        }
+
+    def test_five_frame_gop_never_passes_the_intra(self):
+        out = rd_by_position([_stats("IPPPP", [500, 8, 16, 24, 32], [99.0, 30.0, 28.0, 26.0, 24.0])])
+        assert out == {
+            "padded": RDPoint(48 / 24, 28.0),
+            "intra_ref": RDPoint(80 / 32, 27.0),
+            "all": RDPoint(80 / 32, 27.0),
+        }
+
+    def test_intra_only_has_no_group(self):
+        assert rd_by_position([_stats("II", [100, 100], [99.0, 99.0])]) == {}
+
+    def test_p_frame_before_intra_rejected(self):
+        with pytest.raises(UsageError, match="start with an intra frame"):
+            rd_by_position([_stats("PI", [10, 100], [20.0, 99.0])])
 
 
 class TestBdRate:

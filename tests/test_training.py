@@ -14,6 +14,7 @@ import bnvc.training as training
 from bnvc.entropy import GaussianModel, LogisticModel, estimate_bits
 from bnvc.errors import UsageError
 from bnvc.fusion import FusionMode
+from bnvc.metrics import RDPoint, psnr, rd_by_position
 from bnvc.model import CodecModel, ModelConfig
 from bnvc.policies import DuplicationPolicy
 from bnvc.synth import generate_dataset
@@ -21,8 +22,6 @@ from bnvc.training import (
     Adam,
     TrainingConfig,
     TrainingDiverged,
-    evaluate_coding,
-    per_frame_distortion,
     rollout_loss,
     train_toy,
 )
@@ -201,16 +200,22 @@ class TestTrainingMemory:
 
 
 class TestEvaluation:
-    def test_evaluate_coding_fields(self, dataset):
+    def test_all_entry_sums_the_p_frames(self, dataset):
         model = _toy_model(seed=7)
-        out = evaluate_coding(model, dataset[:2], lambda_index=1)
-        assert set(out) == {"bpp", "mse", "objective", "psnr", "lambda"}
-        assert out["bpp"] > 0 and out["mse"] >= 0
-        assert abs(out["objective"] - (out["lambda"] * out["mse"] + out["bpp"])) < 1e-12
+        seq = dataset[0]
+        _, stats, recons = codec.encode_sequence(seq, model, lambda_index=1)
+        p = [i for i, kind in enumerate(stats.frame_types) if kind == "P"]
+        h, w = seq.shape[2:]
+        assert stats.n_ref == model.config.n_ref
+        assert rd_by_position([stats])["all"] == RDPoint(
+            sum(stats.frame_bits[i] for i in p) / (len(p) * h * w),
+            float(np.mean([psnr(seq[i], recons[i]) for i in p])),
+        )
 
-    def test_per_frame_distortion_counts(self, dataset):
+    def test_short_gop_is_all_padded(self, dataset):
         model = _toy_model(seed=8)
-        near = per_frame_distortion(model, dataset[0], DuplicationPolicy.NEAR, n_inter=3)
-        further = per_frame_distortion(model, dataset[0], DuplicationPolicy.FURTHER, n_inter=3)
-        assert len(near) == 3 and len(further) == 3
-        assert all(v >= 0 for v in near + further)
+        for policy in DuplicationPolicy:
+            _, stats, _ = codec.encode_sequence(dataset[0][:4], model, policy, intra_period=4)
+            out = rd_by_position([stats])
+            assert "past_intra" not in out
+            assert out["padded"].bpp > 0 and np.isfinite(out["padded"].psnr)
