@@ -1,11 +1,12 @@
 """Exception classes shared across the package, and the three caller-input
 rules: `check_int` (an int, not a bool, within bounds) for the integer fields
 of `ModelConfig`, `StreamHeader`, `TrainingConfig`, `LossModelParams`,
-`codec.Frame`, `CodecModel`'s seed and `pad_references`; `check_type` (an
-instance of one class) for the model, config, policy and fusion-mode
-arguments, `train_toy`'s dataset and `metrics.rd_by_position`'s stats; and
-`check_frames` (uint8 planar RGB, no empty axis) for `codec.Frame`,
-`encode_sequence`, `train_toy` and the `frameio` writers.
+`codec.Frame`, `CodecModel`'s seed, `pad_references` and the `synth`
+generators; `check_type` (an instance of one class) for the model, config,
+policy and fusion-mode arguments, `train_toy`'s dataset and
+`metrics.rd_by_position`'s stats; and `check_frames` (uint8 planar RGB, no
+empty axis) for `codec.Frame`, `encode_sequence`, `train_toy`,
+`frameio.write_frames` and the frames `frameio.read_frames` returns.
 
 Exit codes, the contract for the planned `bnvc` CLI (ROADMAP item 7): a
 `UsageError` exits 1, a `CorruptStreamError` exits 2, and any other
@@ -41,9 +42,15 @@ def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
 
 
 def check_type(name: str, value, kind: type):
-    """`value` if it is an instance of `kind`, else UsageError naming the field."""
+    """`value` if it is an instance of `kind`, else UsageError naming the field
+    and, on one line, the value: an array's type, dtype and shape, or the
+    first line of any other value's repr, cut at 80 characters."""
     if not isinstance(value, kind):
-        raise UsageError(f"{name} must be a {kind.__name__}, got {value!r:.80}")
+        if isinstance(value, np.ndarray):
+            got = f"{type(value).__name__} of {value.dtype} {value.shape}"
+        else:
+            got = repr(value).split("\n", 1)[0][:80]
+        raise UsageError(f"{name} must be a {kind.__name__}, got {got}")
     return value
 
 

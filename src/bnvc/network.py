@@ -237,7 +237,7 @@ def read_manifest(manifest_path: Path) -> dict:
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # ValueError: bad JSON or bytes that are not text
         raise UsageError(f"cannot read weights manifest {manifest_path}: {err}") from err
     if not isinstance(manifest, dict) or manifest.get("format") != "bnvc-weights":
         raise UsageError(f"{manifest_path} is not a weights manifest")

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_int
 from .model import CodecModel
 
 __all__ = ["generate_sequence", "generate_dataset"]
 
 _N_RECTS = 2
 _OCCLUSION_PERIOD = 4
+_MIN_SIDE = 12  # the smallest multiple of 4 whose sides fit the rectangles' size draw
 
 
 def _draw_rect(frame: np.ndarray, y: int, x: int, hh: int, ww: int, color: np.ndarray) -> None:
@@ -34,6 +36,10 @@ def generate_sequence(
     occlusion: bool = False,
 ) -> np.ndarray:
     """(n_frames, 3, height, width) uint8 frames, fully seeded."""
+    check_int("width", width, _MIN_SIDE)
+    check_int("height", height, _MIN_SIDE)
+    check_int("n_frames", n_frames, 1)
+    check_int("seed", seed, 0)
     CodecModel.latent_hw(height, width)  # the codec's frame grid
     rng = np.random.default_rng(seed)
 
@@ -99,6 +105,9 @@ def generate_dataset(
     seed: int = 0,
     occlusion: bool = False,
 ) -> list[np.ndarray]:
+    """`n_sequences` sequences of `generate_sequence`, the i-th at seed seed * 10_000 + i."""
+    check_int("n_sequences", n_sequences, 1)
+    check_int("seed", seed, 0)
     return [
         generate_sequence(width, height, n_frames, seed=seed * 10_000 + i, occlusion=occlusion)
         for i in range(n_sequences)

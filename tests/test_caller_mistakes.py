@@ -10,7 +10,7 @@ from bnvc.errors import UsageError
 from bnvc.metrics import rd_by_position
 from bnvc.model import CodecModel, ModelConfig
 from bnvc.policies import DuplicationPolicy
-from bnvc.synth import generate_sequence
+from bnvc.synth import generate_dataset, generate_sequence
 from bnvc.training import TrainingConfig, train_toy
 
 NEAR = DuplicationPolicy.NEAR
@@ -66,6 +66,16 @@ MISTAKES = {
     "train_toy_config_none": lambda m, f, d: train_toy(m, [f], None),
     # without a check here, pad_references refuses it only at the first training step
     "training_policy_str": lambda m, f, d: TrainingConfig(policy="near"),
+    "synth_n_frames_negative": lambda m, f, d: generate_sequence(n_frames=-1),
+    "synth_n_frames_float": lambda m, f, d: generate_sequence(n_frames=2.5),
+    # returned an empty (0, 3, 32, 32) array
+    "synth_n_frames_zero": lambda m, f, d: generate_sequence(n_frames=0),
+    "synth_seed_negative": lambda m, f, d: generate_sequence(seed=-1),
+    "synth_width_float": lambda m, f, d: generate_sequence(width=32.0),
+    # 12 is the smallest side whose rectangles fit; 8 raised numpy's "low >= high"
+    "synth_sides_8": lambda m, f, d: generate_sequence(width=8, height=8),
+    "synth_dataset_count_str": lambda m, f, d: generate_dataset("a"),
+    "synth_dataset_count_zero": lambda m, f, d: generate_dataset(0),
 }
 
 
@@ -74,6 +84,21 @@ def test_caller_mistake_is_usage_error(coded, call):
     model, frames, data, _ = coded
     with pytest.raises(UsageError):
         call(model, frames, data)
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda f: rd_by_position([f]), "ndarray of uint8 (3, 3, 32, 32)"),
+        (lambda f: CodecModel([f]), "[array([[["),
+    ],
+    ids=["array", "list_of_arrays"],
+)
+def test_refusal_names_the_value_on_one_line(coded, call, shown):
+    _, frames, _, _ = coded
+    with pytest.raises(UsageError) as err:
+        call(frames)
+    assert shown in str(err.value) and "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])

@@ -701,15 +701,25 @@ class TestSaveLoadRoundTrip:
             lambda manifest, bin_path: manifest.update(params="x"),
             lambda manifest, bin_path: manifest["model"].update(width=6),
             lambda manifest, bin_path: manifest.update(model=OLD_TOY_MODEL_SECTION),
+            # a breaker that returns bytes replaces the manifest file with them
+            lambda manifest, bin_path: b"\xff\xfe" + json.dumps(manifest).encode(),
         ],
-        ids=["missing_bin", "no_model_entry", "fusion_not_a_name", "params_not_a_list", "width_6", "old_7_keys"],
+        ids=[
+            "missing_bin",
+            "no_model_entry",
+            "fusion_not_a_name",
+            "params_not_a_list",
+            "width_6",
+            "old_7_keys",
+            "not_utf8",
+        ],
     )
     def test_malformed_weights_files_are_usage_errors(self, tmp_path, break_files):
         path = tmp_path / "w.json"
         _model().save(path)
         manifest = json.loads(path.read_text())
-        break_files(manifest, tmp_path / "w.bin")
-        path.write_text(json.dumps(manifest))
+        broken = break_files(manifest, tmp_path / "w.bin")
+        path.write_bytes(broken if isinstance(broken, bytes) else json.dumps(manifest).encode())
         with pytest.raises(UsageError):
             CodecModel.load(path)
 

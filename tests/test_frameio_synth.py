@@ -1,31 +1,28 @@
-"""Tests for frame I/O formats and the synthetic sequence generator."""
+"""Tests for the frame file format and the synthetic sequence generator."""
 
 import numpy as np
 import pytest
 
 from bnvc.errors import CorruptStreamError, UsageError
-from bnvc.frameio import (
-    load_sequences,
-    read_ppm,
-    read_raw_sequence,
-    read_sequence_dir,
-    write_ppm,
-    write_raw_sequence,
-    write_sequence_dir,
-)
+from bnvc.frameio import read_frames, write_frames
 from bnvc.synth import generate_dataset, generate_sequence
+
+
+def _ppm(w, h, maxval=255):
+    """One all-zero P6 image, its header laid out as `write_frames` lays it out."""
+    return f"P6\n{w} {h}\n{maxval}\n".encode("ascii") + bytes(3 * w * h)
 
 
 class TestPpm:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        frame = rng.integers(0, 256, size=(3, 6, 9), dtype=np.uint8)
-        write_ppm(tmp_path / "f.ppm", frame)
-        np.testing.assert_array_equal(read_ppm(tmp_path / "f.ppm"), frame)
+        frame = rng.integers(0, 256, size=(1, 3, 6, 9), dtype=np.uint8)
+        write_frames(tmp_path / "f.ppm", frame)
+        np.testing.assert_array_equal(read_frames(tmp_path / "f.ppm"), frame)
 
     def test_header_is_binary_p6(self, tmp_path):
-        frame = np.zeros((3, 2, 4), dtype=np.uint8)
-        write_ppm(tmp_path / "f.ppm", frame)
+        frame = np.zeros((1, 3, 2, 4), dtype=np.uint8)
+        write_frames(tmp_path / "f.ppm", frame)
         data = (tmp_path / "f.ppm").read_bytes()
         assert data.startswith(b"P6\n4 2\n255\n")
         assert len(data) == len(b"P6\n4 2\n255\n") + 24
@@ -33,53 +30,86 @@ class TestPpm:
     def test_non_ppm_rejected(self, tmp_path):
         (tmp_path / "bad.ppm").write_bytes(b"JUNKJUNK")
         with pytest.raises(CorruptStreamError):
-            read_ppm(tmp_path / "bad.ppm")
+            read_frames(tmp_path / "bad.ppm")
 
     def test_truncated_rejected(self, tmp_path):
-        frame = np.zeros((3, 4, 4), dtype=np.uint8)
-        write_ppm(tmp_path / "f.ppm", frame)
+        frame = np.zeros((1, 3, 4, 4), dtype=np.uint8)
+        write_frames(tmp_path / "f.ppm", frame)
         data = (tmp_path / "f.ppm").read_bytes()
         (tmp_path / "cut.ppm").write_bytes(data[:-5])
         with pytest.raises(CorruptStreamError):
-            read_ppm(tmp_path / "cut.ppm")
+            read_frames(tmp_path / "cut.ppm")
 
     def test_wrong_dtype_rejected(self, tmp_path):
         with pytest.raises(UsageError):
-            write_ppm(tmp_path / "f.ppm", np.zeros((3, 4, 4), dtype=np.float64))
+            write_frames(tmp_path / "f.ppm", np.zeros((1, 3, 4, 4), dtype=np.float64))
 
 
-class TestSequenceIo:
-    def test_dir_round_trip(self, tmp_path):
+class TestSequenceFile:
+    def test_n_frame_round_trip_is_one_ppm_per_frame_back_to_back(self, tmp_path):
         rng = np.random.default_rng(1)
-        seq = rng.integers(0, 256, size=(5, 3, 8, 8), dtype=np.uint8)
-        write_sequence_dir(tmp_path / "seq", seq)
-        np.testing.assert_array_equal(read_sequence_dir(tmp_path / "seq"), seq)
+        seq = rng.integers(0, 256, size=(5, 3, 6, 10), dtype=np.uint8)
+        write_frames(tmp_path / "seq.ppm", seq)
+        back = read_frames(tmp_path / "seq.ppm")
+        np.testing.assert_array_equal(back, seq)
+        assert back.flags.c_contiguous
+        singles = []
+        for i, frame in enumerate(seq):
+            write_frames(tmp_path / f"{i}.ppm", frame[None])
+            singles.append((tmp_path / f"{i}.ppm").read_bytes())
+        assert (tmp_path / "seq.ppm").read_bytes() == b"".join(singles)
 
-    def test_raw_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        seq = rng.integers(0, 256, size=(4, 3, 6, 10), dtype=np.uint8)
-        write_raw_sequence(tmp_path / "seq.rgb", seq)
-        np.testing.assert_array_equal(read_raw_sequence(tmp_path / "seq.rgb"), seq)
+    def test_frames_past_9999_stay_in_order(self, tmp_path):
+        # a directory of frame_%04d.ppm files sorted frame_10000 before frame_1001
+        index = np.arange(10_002)
+        seq = np.zeros((10_002, 3, 1, 1), dtype=np.uint8)
+        seq[:, 0, 0, 0], seq[:, 1, 0, 0] = index & 0xFF, index >> 8
+        write_frames(tmp_path / "seq.ppm", seq)
+        back = read_frames(tmp_path / "seq.ppm")
+        np.testing.assert_array_equal(back[:, 0, 0, 0] + (back[:, 1, 0, 0].astype(int) << 8), index)
+        np.testing.assert_array_equal(back, seq)
 
-    def test_raw_sidecar_mismatch_detected(self, tmp_path):
-        seq = np.zeros((2, 3, 4, 4), dtype=np.uint8)
-        write_raw_sequence(tmp_path / "seq.rgb", seq)
-        (tmp_path / "seq.rgb").write_bytes(b"\x00" * 10)
-        with pytest.raises(CorruptStreamError):
-            read_raw_sequence(tmp_path / "seq.rgb")
 
-    def test_load_sequences_mixed(self, tmp_path):
-        seq_a = np.zeros((2, 3, 4, 4), dtype=np.uint8)
-        seq_b = np.full((3, 3, 4, 4), 9, dtype=np.uint8)
-        write_sequence_dir(tmp_path / "a", seq_a)
-        write_raw_sequence(tmp_path / "b.rgb", seq_b)
-        out = load_sequences(tmp_path)
-        assert sorted(out) == ["a", "b"]
-        np.testing.assert_array_equal(out["b"], seq_b)
+BAD_FILES = {
+    "empty": (b"", CorruptStreamError),
+    "ascii_p3_header": (b"P3\n1 1\n255\n0 0 0\n", CorruptStreamError),
+    "header_without_raster_separator": (b"P6\n1 1\n255", CorruptStreamError),
+    "second_raster_cut_short": (_ppm(2, 2) + _ppm(2, 2)[:-1], CorruptStreamError),
+    "trailing_junk": (_ppm(2, 2) + b"JUNK", CorruptStreamError),
+    "trailing_newline": (_ppm(2, 2) + b"\n", CorruptStreamError),
+    "sides_far_past_the_file": (b"P6\n1000000000000 1000000000000\n255\n" + bytes(12), CorruptStreamError),
+    "side_past_int_digit_limit": (b"P6\n" + b"9" * 5000 + b" 1\n255\n" + bytes(3), CorruptStreamError),
+    "maxval_65535": (_ppm(2, 2, 65535), UsageError),
+    "maxval_1": (_ppm(2, 2, 1), UsageError),
+    "sizes_differ": (_ppm(2, 2) + _ppm(4, 2), UsageError),
+    "zero_by_zero": (_ppm(0, 0), UsageError),
+    "zero_width": (_ppm(0, 4), UsageError),
+}
 
-    def test_empty_root_rejected(self, tmp_path):
-        with pytest.raises(UsageError):
-            load_sequences(tmp_path)
+
+@pytest.mark.parametrize("data, error", BAD_FILES.values(), ids=BAD_FILES.keys())
+def test_bad_frame_file_raises_package_error(tmp_path, data, error):
+    (tmp_path / "bad.ppm").write_bytes(data)
+    with pytest.raises(error):
+        read_frames(tmp_path / "bad.ppm")
+
+
+ONE_BLACK_FRAME = np.zeros((1, 3, 2, 2), dtype=np.uint8)
+BAD_CALLS = {
+    "read_missing_file": lambda d: read_frames(d / "missing.ppm"),
+    "read_directory": lambda d: read_frames(d),
+    "read_int_path": lambda d: read_frames(3),
+    "write_into_missing_directory": lambda d: write_frames(d / "missing" / "f.ppm", ONE_BLACK_FRAME),
+    "write_int_path": lambda d: write_frames(3, ONE_BLACK_FRAME),
+    "write_no_frames": lambda d: write_frames(d / "f.ppm", ONE_BLACK_FRAME[:0]),
+    "write_one_3d_frame": lambda d: write_frames(d / "f.ppm", ONE_BLACK_FRAME[0]),
+}
+
+
+@pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
+def test_bad_path_or_frames_is_usage_error(tmp_path, call):
+    with pytest.raises(UsageError):
+        call(tmp_path)
 
 
 class TestSynth:
