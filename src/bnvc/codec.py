@@ -53,7 +53,6 @@ __all__ = [
     "decode_frame",
     "encode_sequence",
     "decode_sequence",
-    "EncodeStats",
 ]
 
 @dataclass

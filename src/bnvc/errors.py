@@ -1,10 +1,13 @@
 """Exception classes shared across the package, and the three caller-input
 rules: `check_int` (an int, not a bool, within bounds) for the integer fields
 of `ModelConfig`, `StreamHeader`, `TrainingConfig`, `LossModelParams`,
-`codec.Frame`, `CodecModel`'s seed, `pad_references` and the `synth`
-generators; `check_type` (an instance of one class) for the model, config,
-policy and fusion-mode arguments, `train_toy`'s dataset and
-`metrics.rd_by_position`'s stats; and `check_frames` (uint8 planar RGB, no
+`codec.Frame`, `CodecModel`'s seed, `pad_references`, the `synth`
+generators, `conv2d`'s stride, `bilinear_resize`'s target size and
+`estimate_motion`'s block; `check_type` (an instance of one class) for the
+model, config, policy and fusion-mode arguments, `train_toy`'s dataset,
+`metrics.rd_by_position`'s stats, `bd_rate`'s curves and their points,
+`generate_sequence`'s occlusion flag and the bytes that
+`ParamStore.load_f32_bytes` reads; and `check_frames` (uint8 planar RGB, no
 empty axis) for `codec.Frame`, `encode_sequence`, `train_toy`,
 `frameio.write_frames` and the frames `frameio.read_frames` returns.
 

@@ -106,6 +106,9 @@ def rd_by_position(stats: Sequence[EncodeStats]) -> dict[str, RDPoint]:
 
 
 def _validate_curve(points: Sequence[RDPoint], name: str) -> tuple[np.ndarray, np.ndarray]:
+    check_type(f"{name} curve", points, Sequence)
+    for p in points:
+        check_type(f"{name} point", p, RDPoint)
     if len(points) < 4:
         raise UsageError(f"{name} curve needs at least 4 points, got {len(points)}")
     bpp = np.array([p.bpp for p in points], dtype=np.float64)

@@ -9,12 +9,22 @@ they always live in [SCALE_MIN, SCALE_MAX].
 
 `ModelConfig` is (n_ref, fusion, width): every layer width is a fixed
 multiple of c0 = width, and its constructor checks every architecture rule.
+
+A weights file is two files side by side: `<stem>.bin`, the store's
+float32 byte form (`network.ParamStore.to_f32_bytes`), and a JSON
+manifest with exactly three keys: `format` ("bnvc-weights"), `model`
+(the config's `{n_ref, fusion, width}`, which fixes every parameter's
+name and shape) and `hash_fnv1a64` (the binary's FNV-1a 64 as 16 hex
+digits, the hash that bitstream headers carry). `CodecModel.load`
+refuses, with `UsageError`, any other key set, a binary of the wrong
+size and a binary whose hash differs from the manifest's.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +32,7 @@ import numpy as np
 from .entropy import MIN_PROB, SCALE_MAX, SCALE_MIN
 from .errors import UsageError, check_int, check_type
 from .fusion import ContextPyramid, FusionMode, MultiRefFusion
-from .network import Conv, ParamStore, ResBlock, read_manifest, save_weights
+from .network import Conv, ParamStore, ResBlock
 from .tensor import (
     Tensor,
     bilinear_resize,
@@ -39,6 +49,9 @@ from .tensor import (
 __all__ = ["ModelConfig", "CodecModel", "LAMBDA_VALUES"]
 
 LAMBDA_VALUES = (256.0, 512.0, 1024.0, 2048.0)
+
+_FORMAT = "bnvc-weights"
+_MANIFEST_KEYS = {"format", "model", "hash_fnv1a64"}
 
 _LOG_SCALE_MIN = float(np.log(SCALE_MIN))
 _LOG_SCALE_MAX = float(np.log(SCALE_MAX))
@@ -86,7 +99,15 @@ class ModelConfig:
 
     @classmethod
     def from_manifest(cls, m: dict) -> "ModelConfig":
-        return cls(**{**m, "fusion": FusionMode(m["fusion"])})
+        """Inverse of `to_manifest`; UsageError unless `m` holds exactly its keys."""
+        keys = [f.name for f in fields(cls)]
+        if not isinstance(m, dict) or set(m) != set(keys):
+            raise UsageError(f"a model section has exactly the keys {keys}, got {str(m)[:80]}")
+        try:
+            fusion = FusionMode(m["fusion"])
+        except ValueError:
+            raise UsageError(f"fusion must name a FusionMode, got {m['fusion']!r}") from None
+        return cls(m["n_ref"], fusion, m["width"])
 
 
 class CodecModel:
@@ -229,18 +250,35 @@ class CodecModel:
         return self.store.weights_hash()
 
     def save(self, manifest_path: str | os.PathLike) -> None:
-        save_weights(self.store, _manifest_path(manifest_path), extra={"model": self.config.to_manifest()})
+        """Write the weights file (module docstring) with its manifest at `manifest_path`.
+        The binary holds the values rounded to float32; the store keeps its own."""
+        path = _manifest_path(manifest_path)
+        if path.suffix == ".bin":
+            raise UsageError(f"manifest path {path} ends in .bin, the name its binary takes")
+        hash_hex = f"{self.store.weights_hash():016x}"
+        manifest = {"format": _FORMAT, "model": self.config.to_manifest(), "hash_fnv1a64": hash_hex}
+        try:
+            path.with_suffix(".bin").write_bytes(self.store.to_f32_bytes())
+            path.write_text(json.dumps(manifest, indent=1))
+        except OSError as err:
+            raise UsageError(f"cannot write weights file {path}: {err}") from None
 
     @classmethod
     def load(cls, manifest_path: str | os.PathLike) -> "CodecModel":
-        manifest_path = _manifest_path(manifest_path)
-        manifest = read_manifest(manifest_path)
+        """The model a weights file holds; UsageError for a file that
+        `save` would not have written (see the module docstring)."""
+        path = _manifest_path(manifest_path)
         try:
-            model = cls(ModelConfig.from_manifest(manifest["model"]), seed=0)
-            bin_path, params = manifest_path.parent / manifest["data_file"], manifest["params"]
-        except (KeyError, TypeError, ValueError, AttributeError) as err:
-            raise UsageError(f"malformed weights manifest {manifest_path}: {err!r}") from None
-        model.store.load(bin_path, params)
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+            data = path.with_suffix(".bin").read_bytes()
+        except (OSError, ValueError) as err:  # ValueError: bad JSON or bytes that are not UTF-8
+            raise UsageError(f"cannot read weights file {path}: {err}") from None
+        if not isinstance(manifest, dict) or set(manifest) != _MANIFEST_KEYS or manifest["format"] != _FORMAT:
+            raise UsageError(f"{path} is not a weights manifest with exactly the keys {sorted(_MANIFEST_KEYS)}")
+        model = cls(ModelConfig.from_manifest(manifest["model"]), seed=0)
+        model.store.load_f32_bytes(data)
+        if f"{model.store.weights_hash():016x}" != manifest["hash_fnv1a64"]:
+            raise UsageError(f"weights binary of {path} does not match the manifest's hash")
         return model
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ShapeError, UsageError
+from .errors import ShapeError, UsageError, check_int
 from .tensor import Tensor, warp_bilinear
 
 __all__ = ["estimate_motion", "compose_flows"]
@@ -47,6 +47,7 @@ def estimate_motion(current: np.ndarray, reference: np.ndarray, block: int = 8) 
         raise UsageError(f"motion search takes uint8 pixels, got {cur.dtype} and {ref.dtype}")
     if cur.ndim != 3 or cur.shape != ref.shape:
         raise ShapeError(f"frames must share one (C, H, W) shape, got {cur.shape} and {ref.shape}")
+    check_int("block", block, 1)
     c, h, w = cur.shape
     if h % block or w % block:
         raise UsageError(f"frame {h}x{w} not divisible by block size {block}")

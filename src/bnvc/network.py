@@ -1,25 +1,25 @@
 """Network building blocks: named parameter store, conv/residual layers,
-deterministic initialization, and the weights file format.
+deterministic initialization, and the weights' byte form.
 
-Weights persist as a flat little-endian float32 binary plus a JSON
-manifest listing parameter names and shapes in load order. A 64-bit
-FNV-1a hash of that binary, taken of the current values, identifies the
-weights in bitstream headers; `fnv1a64` evaluates the per-byte FNV
-recurrence as chunked numpy prefix scans (Blelloch, "Prefix sums and
-their applications", CMU-CS-90-190), exact for every input. Computation
-runs in float64; parameters are "snapped" through float32 before coding
-so that the values used for coding are exactly the values a decoder will
+The byte form (`ParamStore.to_f32_bytes`, read back in place by
+`ParamStore.load_f32_bytes`) is every parameter's values as
+little-endian float32 in C order, the parameters in insertion order. It
+names no parameter and no shape, so only a store built the same way
+reads it; `model` keeps it in the weights file. A 64-bit FNV-1a hash of
+those bytes, taken of the current values, identifies the weights in
+bitstream headers; `fnv1a64` evaluates the per-byte FNV recurrence as
+chunked numpy prefix scans (Blelloch, "Prefix sums and their
+applications", CMU-CS-90-190), exact for every input. Computation runs
+in float64; parameters are "snapped" through float32 before coding so
+that the values used for coding are exactly the values a decoder will
 load from the file.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
-from .errors import ShapeError, UsageError
+from .errors import UsageError, check_type
 from .tensor import Tensor, conv2d, leaky_relu
 
 __all__ = ["ParamStore", "Conv", "ResBlock", "fnv1a64"]
@@ -143,38 +143,17 @@ class ParamStore:
             self._hashed = (data, fnv1a64(data))
         return self._hashed[1]
 
-    def manifest_params(self) -> list[dict]:
-        return [{"name": n, "shape": list(t.data.shape)} for n, t in self._params.items()]
-
-    def save(self, bin_path: Path) -> None:
-        Path(bin_path).write_bytes(self.to_f32_bytes())
-
-    def load(self, bin_path: Path, manifest_params: list[dict]) -> None:
-        """Load float32 values in manifest order; names and shapes must match.
-
-        Every name, shape and the binary's size are checked before any
-        value is written, so a refused load leaves the weights as they were.
-        """
-        try:
-            listed = [(p["name"], tuple(p["shape"])) for p in manifest_params]
-        except (KeyError, TypeError) as err:
-            raise UsageError(f"malformed weights manifest parameter list: {err!r}") from None
-        if [name for name, _ in listed] != self.names():
-            raise UsageError("weights manifest parameter list does not match this model")
-        for (name, shape), t in zip(listed, self._params.values()):
-            if shape != t.data.shape:
-                raise ShapeError(f"parameter {name}: manifest shape {list(shape)} != {t.data.shape}")
-        try:
-            data = Path(bin_path).read_bytes()
-        except OSError as err:
-            raise UsageError(f"cannot read weights binary {bin_path}: {err}") from None
+    def load_f32_bytes(self, data: bytes) -> None:
+        """Write `to_f32_bytes`'s form back into the parameters, in place.
+        `data` must be `bytes`, 4 per value; a refused load writes nothing."""
+        check_type("weights data", data, bytes)
         if len(data) != 4 * self.n_values():
             raise UsageError(f"weights binary holds {len(data)} bytes, model needs {4 * self.n_values()}")
         raw = np.frombuffer(data, dtype="<f4")
         pos = 0
         for t in self._params.values():
             n = t.data.size
-            t.data[...] = raw[pos : pos + n].astype(np.float64).reshape(t.data.shape)
+            t.data[...] = raw[pos : pos + n].reshape(t.data.shape)
             pos += n
 
 
@@ -214,31 +193,3 @@ class ResBlock:
 
     def __call__(self, x: Tensor) -> Tensor:
         return x + self.conv2(leaky_relu(self.conv1(x)))
-
-
-def save_weights(store: ParamStore, manifest_path: Path, extra: dict) -> None:
-    """Write <stem>.bin plus the JSON manifest at manifest_path. The
-    binary holds the values rounded to float32; the store keeps its own."""
-    manifest_path = Path(manifest_path)
-    bin_path = manifest_path.with_suffix(".bin")
-    store.save(bin_path)
-    manifest = {
-        "format": "bnvc-weights",
-        "version": 1,
-        "data_file": bin_path.name,
-        "params": store.manifest_params(),
-        "hash_fnv1a64": f"{store.weights_hash():016x}",
-    }
-    manifest.update(extra)
-    manifest_path.write_text(json.dumps(manifest, indent=1))
-
-
-def read_manifest(manifest_path: Path) -> dict:
-    manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, ValueError) as err:  # ValueError: bad JSON or bytes that are not text
-        raise UsageError(f"cannot read weights manifest {manifest_path}: {err}") from err
-    if not isinstance(manifest, dict) or manifest.get("format") != "bnvc-weights":
-        raise UsageError(f"{manifest_path} is not a weights manifest")
-    return manifest

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import check_int
+from .errors import check_int, check_type
 from .model import CodecModel
 
 __all__ = ["generate_sequence", "generate_dataset"]
@@ -40,6 +40,7 @@ def generate_sequence(
     check_int("height", height, _MIN_SIDE)
     check_int("n_frames", n_frames, 1)
     check_int("seed", seed, 0)
+    check_type("occlusion", occlusion, bool)
     CodecModel.latent_hw(height, width)  # the codec's frame grid
     rng = np.random.default_rng(seed)
 

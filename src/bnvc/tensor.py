@@ -27,7 +27,7 @@ Design constraints, in order of priority:
   feature, so their values do not hang on the host.
 
 Everything is float64, channels-first (C, H, W), row-major. No op writes
-into its inputs; `Adam.step`, `ParamStore.load` and `snap_to_f32` write
+into its inputs; `Adam.step`, `load_f32_bytes` and `snap_to_f32` write
 parameters in place, and `weights_hash` reads their current values.
 `requires_grad` is the only switch for recording: an op records its
 node iff one of its inputs requires grad, and there is no global mode,
@@ -47,7 +47,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ShapeError, UsageError
+from .errors import ShapeError, UsageError, check_int
 from .special import expit, ndtr
 
 __all__ = [
@@ -475,8 +475,7 @@ def conv2d(x: Tensor | Sequence[Tensor], weight: Tensor, bias: Tensor, stride: i
         raise ShapeError(f"conv2d weight expects {c_in} input channels, input has {bounds[-1]}")
     if bd.shape != (c_out,):
         raise ShapeError(f"conv2d bias must be ({c_out},), got {bd.shape}")
-    if stride < 1:
-        raise UsageError(f"conv2d needs stride >= 1, got {stride}")
+    check_int("stride", stride, 1)
     _, h, w = xds[0].shape
 
     out = _correlate(xds, wd, stride) + bd[:, None, None]
@@ -566,8 +565,8 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     xd = x.data
     if xd.ndim != 3:
         raise ShapeError(f"bilinear_resize input must be (C, H, W), got {xd.shape}")
-    if out_h < 1 or out_w < 1:
-        raise UsageError(f"bilinear_resize target must be >= 1x1, got {out_h}x{out_w}")
+    check_int("out_h", out_h, 1)
+    check_int("out_w", out_w, 1)
     _, h, w = xd.shape
     ry = _resize_matrix(h, out_h)
     rx = _resize_matrix(w, out_w)

@@ -7,13 +7,17 @@ import pytest
 
 from bnvc.codec import decode_sequence, encode_sequence, intra_frame
 from bnvc.errors import UsageError
-from bnvc.metrics import rd_by_position
+from bnvc.metrics import bd_rate, rd_by_position
 from bnvc.model import CodecModel, ModelConfig
+from bnvc.motion import estimate_motion
 from bnvc.policies import DuplicationPolicy
 from bnvc.synth import generate_dataset, generate_sequence
+from bnvc.tensor import Tensor, bilinear_resize, conv2d
 from bnvc.training import TrainingConfig, train_toy
 
 NEAR = DuplicationPolicy.NEAR
+X = Tensor(np.zeros((2, 8, 8)))
+W, B = Tensor(np.zeros((3, 2, 3, 3))), Tensor(np.zeros(3))
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +80,17 @@ MISTAKES = {
     "synth_sides_8": lambda m, f, d: generate_sequence(width=8, height=8),
     "synth_dataset_count_str": lambda m, f, d: generate_dataset("a"),
     "synth_dataset_count_zero": lambda m, f, d: generate_dataset(0),
+    # any truthy value drew the blinker
+    "synth_occlusion_str": lambda m, f, d: generate_sequence(n_frames=4, occlusion="no"),
+    # these raised ZeroDivisionError, ValueError, TypeError, TypeError, TypeError and TypeError
+    "motion_block_zero": lambda m, f, d: estimate_motion(f[0], f[0], block=0),
+    "motion_block_negative": lambda m, f, d: estimate_motion(f[0], f[0], block=-8),
+    "motion_block_float": lambda m, f, d: estimate_motion(f[0], f[0], block=2.0),
+    "resize_float_height": lambda m, f, d: bilinear_resize(X, 2.5, 3),
+    "conv2d_stride_float": lambda m, f, d: conv2d(X, W, B, stride=2.0),
+    "conv2d_stride_str": lambda m, f, d: conv2d(X, W, B, stride="1"),
+    # raised AttributeError: 'int' object has no attribute 'bpp'
+    "bd_rate_ints": lambda m, f, d: bd_rate([1, 2, 3, 4], [1, 2, 3, 4]),
 }
 
 

@@ -17,7 +17,6 @@ import bnvc.codec as codec
 from bnvc.codec import (
     Decode,
     Encode,
-    EncodeStats,
     Frame,
     decode_frame,
     decode_sequence,
@@ -31,6 +30,7 @@ import bnvc.entropy as entropy
 from bnvc.entropy import GAUSSIAN_SCALES, GaussianModel, LogisticModel, estimate_bits
 from bnvc.errors import BnvcError, CorruptStreamError, UsageError
 from bnvc.fusion import FusionMode
+from bnvc.metrics import EncodeStats
 from bnvc.model import CodecModel, ModelConfig
 from bnvc.policies import DuplicationPolicy, pad_references
 from bnvc.synth import generate_sequence

@@ -1,6 +1,8 @@
 """Tests for ModelConfig: the width family derived from one base width,
-and the architecture rules its constructor checks."""
+and the architecture rules its constructor checks; and for the weights
+file that CodecModel saves and loads."""
 
+import json
 from dataclasses import fields
 
 import pytest
@@ -49,3 +51,70 @@ class TestModelConfig:
         config = ModelConfig(n_ref=2, fusion=FusionMode.TOGETHER, width=12)
         assert config.to_manifest() == {"n_ref": 2, "fusion": "together", "width": 12}
         assert ModelConfig.from_manifest(config.to_manifest()) == config
+
+
+def _flip_one_bit(bin_path):
+    data = bytearray(bin_path.read_bytes())
+    data[1000] ^= 1
+    bin_path.write_bytes(bytes(data))
+
+
+def _point_at_another_binary(manifest, bin_path):
+    """A data_file key naming, by absolute path, the binary of a model saved elsewhere."""
+    (bin_path.parent / "elsewhere").mkdir()
+    CodecModel(ModelConfig.toy(), seed=1).save(bin_path.parent / "elsewhere" / "w.json")
+    manifest["data_file"] = str(bin_path.parent / "elsewhere" / "w.bin")
+
+
+def _leave_out_the_default_fields(manifest, bin_path):
+    """A default-width model's file whose model section gives only the fusion,
+    so that the defaults would fill in n_ref and width."""
+    CodecModel(ModelConfig(), seed=0).save(bin_path.with_suffix(".json"))
+    manifest.update(json.loads(bin_path.with_suffix(".json").read_text()), model={"fusion": "butterfly"})
+
+
+# each breaks a saved toy file, given its manifest (rewritten afterwards) and its binary's path
+REFUSED_FILES = {
+    "bin_one_bit_flipped": lambda m, b: _flip_one_bit(b),
+    "bin_one_value_short": lambda m, b: b.write_bytes(b.read_bytes()[:-4]),
+    "bin_one_value_over": lambda m, b: b.write_bytes(b.read_bytes() + bytes(4)),
+    "hash_all_zeros": lambda m, b: m.update(hash_fnv1a64="0" * 16),
+    "hash_as_int": lambda m, b: m.update(hash_fnv1a64=int(m["hash_fnv1a64"], 16)),
+    "hash_missing": lambda m, b: m.pop("hash_fnv1a64"),
+    "format_other": lambda m, b: m.update(format="other-weights"),
+    "format_missing": lambda m, b: m.pop("format"),
+    "version_99": lambda m, b: m.update(version=99),
+    "data_file_elsewhere": _point_at_another_binary,
+    "model_fusion_only": _leave_out_the_default_fields,
+    "model_extra_key": lambda m, b: m["model"].update(mv_hyper=4),
+    "model_not_an_object": lambda m, b: m.update(model=[4, "butterfly", 8]),
+}
+
+
+class TestWeightsFile:
+    @pytest.mark.parametrize("break_file", REFUSED_FILES.values(), ids=REFUSED_FILES.keys())
+    def test_refused_file_is_usage_error(self, tmp_path, break_file):
+        path = tmp_path / "w.json"
+        CodecModel(ModelConfig.toy(), seed=0).save(path)
+        manifest = json.loads(path.read_text())
+        break_file(manifest, tmp_path / "w.bin")
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(UsageError):
+            CodecModel.load(path)
+
+    def test_untouched_file_loads(self, tmp_path):
+        """The table above breaks files that load before the breaker runs."""
+        path, model = tmp_path / "w.json", CodecModel(ModelConfig.toy(), seed=0)
+        model.save(path)
+        path.write_text(json.dumps(json.loads(path.read_text())))
+        assert CodecModel.load(path).store.weights_hash() == model.store.weights_hash()
+
+    def test_save_refuses_a_manifest_path_ending_in_bin(self, tmp_path):
+        """Its binary would take the same name, and the manifest would overwrite it."""
+        with pytest.raises(UsageError, match=".bin"):
+            CodecModel(ModelConfig.toy(), seed=0).save(tmp_path / "w.bin")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_into_a_missing_directory_is_usage_error(self, tmp_path):
+        with pytest.raises(UsageError, match="cannot write"):
+            CodecModel(ModelConfig.toy(), seed=0).save(tmp_path / "missing" / "w.json")

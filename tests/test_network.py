@@ -1,16 +1,19 @@
-"""Tests for the parameter store, weights files, and the FNV-1a weights
-hash, which always names the parameters' current float32 values. The
-per-byte FNV-1a loop is the oracle for the chunked prefix-scan hash."""
+"""Tests for the parameter store, its float32 byte form as weights files
+keep it, and the FNV-1a weights hash, which always names the parameters'
+current float32 values. The per-byte FNV-1a loop is the oracle for the
+chunked prefix-scan hash."""
+
+import json
 
 import numpy as np
 import pytest
 
 import bnvc.network as network
 from bnvc.codec import decode_sequence, encode_sequence
-from bnvc.errors import ShapeError, UsageError
+from bnvc.errors import UsageError
 from bnvc.fusion import FusionMode
 from bnvc.model import CodecModel, ModelConfig
-from bnvc.network import Conv, ParamStore, ResBlock, fnv1a64, read_manifest, save_weights
+from bnvc.network import Conv, ParamStore, ResBlock, fnv1a64
 from bnvc.synth import generate_sequence
 from bnvc.tensor import Tensor
 from bnvc.training import Adam
@@ -102,17 +105,21 @@ class TestParamStore:
         encode_sequence(seq, model)
         assert len(calls) == 2
 
-        model.save(tmp_path / "w.json")
-        manifest = read_manifest(tmp_path / "w.json")
-        model.store.load(tmp_path / "w.bin", manifest["params"])  # the bytes just hashed
+        model.store.load_f32_bytes(model.store.to_f32_bytes())  # the bytes just hashed
         encode_sequence(seq, model)
         assert len(calls) == 2
 
-        (tmp_path / "w.bin").write_bytes(CodecModel(ModelConfig.toy(), seed=1).store.to_f32_bytes())
-        model.store.load(tmp_path / "w.bin", manifest["params"])
+        model.store.load_f32_bytes(CodecModel(ModelConfig.toy(), seed=1).store.to_f32_bytes())
         encode_sequence(seq, model)
         assert len(calls) == 3
         assert model.store.weights_hash() == real(model.store.to_f32_bytes())
+
+        # loading a file hashes its bytes once, and the first encode reuses that hash
+        model.save(tmp_path / "w.json")
+        loaded = CodecModel.load(tmp_path / "w.json")
+        assert len(calls) == 4
+        assert encode_sequence(seq, loaded)[0] == encode_sequence(seq, model)[0]
+        assert len(calls) == 4
 
     def test_in_place_edit_changes_stream_hash(self):
         """An edit that snapping cannot see still renames the weights a stream was coded with."""
@@ -140,65 +147,57 @@ class TestParamStore:
 
     def test_save_load_round_trip(self, tmp_path):
         """The file holds the store rounded through float32; saving leaves the store as it was."""
-        store = ParamStore()
-        rng = np.random.default_rng(1)
-        store.add("x.w", rng.normal(size=(3, 2)))
-        store.add("x.b", rng.normal(size=3))
+        model = CodecModel(ModelConfig.toy(), seed=1)
+        store = model.store
         before = [t.data.copy() for t in store.tensors()]
-        save_weights(store, tmp_path / "w.json", extra={"model": {"kind": "test"}})
+        model.save(tmp_path / "w.json")
         assert [t.data.tobytes() for t in store.tensors()] == [b.tobytes() for b in before]
-        manifest = read_manifest(tmp_path / "w.json")
-        assert manifest["model"]["kind"] == "test"
-        assert [p["name"] for p in manifest["params"]] == ["x.w", "x.b"]
+        manifest = json.loads((tmp_path / "w.json").read_text())
+        assert manifest["model"] == {"n_ref": 4, "fusion": "butterfly", "width": 8}
+        assert sorted(manifest) == ["format", "hash_fnv1a64", "model"]
 
-        other = ParamStore()
-        other.add("x.w", np.zeros((3, 2)))
-        other.add("x.b", np.zeros(3))
-        other.load(tmp_path / "w.bin", manifest["params"])
+        other = CodecModel.load(tmp_path / "w.json").store
         rounded = [b.astype(np.float32).astype(np.float64) for b in before]
         assert [t.data.tobytes() for t in other.tensors()] == [r.tobytes() for r in rounded]
-        assert not np.array_equal(other["x.w"].data, store["x.w"].data)
+        assert not np.array_equal(other["gen.conv_out.w"].data, store["gen.conv_out.w"].data)
         assert other.weights_hash() == store.weights_hash()
         assert manifest["hash_fnv1a64"] == f"{store.weights_hash():016x}"
 
     def test_load_rejects_wrong_layout(self, tmp_path):
-        store = ParamStore()
-        store.add("x.w", np.zeros((2, 2)))
-        save_weights(store, tmp_path / "w.json", extra={})
-        manifest = read_manifest(tmp_path / "w.json")
-        other = ParamStore()
-        other.add("y.w", np.zeros((2, 2)))
+        """A binary of another layout has another size; its manifest's hash cannot save it."""
+        CodecModel(ModelConfig.toy(n_ref=2), seed=0).save(tmp_path / "two.json")
+        CodecModel(ModelConfig.toy(), seed=0).save(tmp_path / "w.json")
+        (tmp_path / "w.bin").write_bytes((tmp_path / "two.bin").read_bytes())
         with pytest.raises(UsageError):
-            other.load(tmp_path / "w.bin", manifest["params"])
+            CodecModel.load(tmp_path / "w.json")
         (tmp_path / "w.bin").write_bytes(bytes(13))  # not a whole number of float32s
         with pytest.raises(UsageError, match="13 bytes"):
-            store.load(tmp_path / "w.bin", manifest["params"])
+            CodecModel.load(tmp_path / "w.json")
 
-    def test_refused_load_leaves_weights_and_hash(self, tmp_path):
-        CodecModel(ModelConfig.toy(), seed=1).save(tmp_path / "w.json")
-        params = read_manifest(tmp_path / "w.json")["params"]
-        params[-1]["shape"] = [1] + params[-1]["shape"]  # same size, wrong shape
+    def test_refused_load_leaves_weights_and_hash(self):
         model = CodecModel(ModelConfig.toy(), seed=0)
         before = model.store.to_f32_bytes()
         hash_before = model.prepare_for_coding()
-        with pytest.raises(ShapeError):
-            model.store.load(tmp_path / "w.bin", params)
+        other = CodecModel(ModelConfig.toy(), seed=1).store.to_f32_bytes()
+        # one value short, one value over, not whole float32s, not bytes
+        for data in (other[:-4], other + bytes(4), other[:13], bytearray(other), other.hex()):
+            with pytest.raises(UsageError):
+                model.store.load_f32_bytes(data)
         assert model.store.to_f32_bytes() == before
         assert model.prepare_for_coding() == hash_before == fnv1a64(before)
 
     def test_manifest_that_is_not_an_object_refused(self, tmp_path):
+        CodecModel(ModelConfig.toy(), seed=0).save(tmp_path / "w.json")
         (tmp_path / "w.json").write_text("[1]")
         with pytest.raises(UsageError, match="not a weights manifest"):
-            read_manifest(tmp_path / "w.json")
+            CodecModel.load(tmp_path / "w.json")
 
-    def test_load_writes_in_place(self, tmp_path):
+    def test_load_writes_in_place(self):
         store = ParamStore()
         store.add("p", np.arange(4.0))
-        save_weights(store, tmp_path / "w.json", extra={})
-        manifest = read_manifest(tmp_path / "w.json")
         other = ParamStore()
         t = other.add("p", np.zeros(4))
-        other.load(tmp_path / "w.bin", manifest["params"])
+        other.load_f32_bytes(store.to_f32_bytes())
         assert t is other["p"]
         np.testing.assert_array_equal(t.data, np.arange(4.0))
 

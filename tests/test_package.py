@@ -1,11 +1,12 @@
-"""Every bnvc module imports, every name in its __all__ resolves, every
-bnvc callable that the benchmark's tracer hooks exists, every console
-script that pyproject.toml declares resolves, and tools/corpus.py still
-names its 48 streams."""
+"""Every bnvc module imports, every name in its __all__ resolves, only the
+modules that own a file format touch files, every bnvc callable that the
+benchmark's tracer hooks exists, every console script that pyproject.toml
+declares resolves, and tools/corpus.py still names its 48 streams."""
 
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,25 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names {missing}, which the module does not define"
+
+
+# the modules that read or write files, each the one home of its format:
+# frameio (frame files) and model (weights files)
+FILE_MODULES = {"frameio.py", "model.py"}
+FILE_CALLS = re.compile(r"\bopen\(|\.(read_bytes|write_bytes|read_text|write_text)\b")
+
+
+def test_file_formats_stay_in_their_modules():
+    """A second module that reads or writes files starts a second home for a file format."""
+    src = Path(bnvc.__file__).parent
+    found = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        if path.name not in FILE_MODULES
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if FILE_CALLS.search(line)
+    ]
+    assert not found, f"file access outside {sorted(FILE_MODULES)}: {found}"
 
 
 def test_traced_hooks_resolve(monkeypatch):
