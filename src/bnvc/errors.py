@@ -6,10 +6,13 @@ generators, `conv2d`'s stride, `bilinear_resize`'s target size and
 `estimate_motion`'s block; `check_type` (an instance of one class) for the
 model, config, policy and fusion-mode arguments, `train_toy`'s dataset,
 `metrics.rd_by_position`'s stats, `bd_rate`'s curves and their points,
-`generate_sequence`'s occlusion flag and the bytes that
-`ParamStore.load_f32_bytes` reads; and `check_frames` (uint8 planar RGB, no
-empty axis) for `codec.Frame`, `encode_sequence`, `train_toy`,
-`frameio.write_frames` and the frames `frameio.read_frames` returns.
+`RDPoint`'s two fields (`numbers.Real`), `generate_sequence`'s occlusion
+flag and the bytes that `ParamStore.load_f32_bytes` reads; and
+`check_frames` (uint8 planar RGB, no empty axis) for `codec.Frame`,
+`encode_sequence`, `train_toy`, `frameio.write_frames` and the frames
+`frameio.read_frames` returns. `metrics.psnr`, which takes frames and
+float images alike, refuses any input that is not an integer or float
+array.
 
 Exit codes, the contract for the planned `bnvc` CLI (ROADMAP item 7): a
 `UsageError` exits 1, a `CorruptStreamError` exits 2, and any other

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ShapeError, UsageError
 from .network import Conv, ParamStore, ResBlock
-from .tensor import Tensor, bilinear_resize, leaky_relu
+from .tensor import Tensor, bilinear_resize
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -103,8 +103,8 @@ class DownsampleStage:
 
     def __call__(self, x: Tensor) -> FeaturePyramid:
         f0 = self.res0(x)
-        f1 = self.res1(leaky_relu(self.down1(f0)))
-        f2 = self.res2(leaky_relu(self.down2(f1)))
+        f1 = self.res1(self.down1(f0, leaky=True))
+        f2 = self.res2(self.down2(f1, leaky=True))
         return FeaturePyramid(f0, f1, f2)
 
 
@@ -114,7 +114,7 @@ class _GridNode:
         self.refine = ResBlock(store, f"{name}.refine", c_out, rng)
 
     def __call__(self, parts: list[Tensor]) -> Tensor:
-        return self.refine(leaky_relu(self.fuse(parts)))
+        return self.refine(self.fuse(parts, leaky=True))
 
 
 class GridFuse:
@@ -216,7 +216,7 @@ class MultiRefFusion:
         if self.mode is FusionMode.BUTTERFLY:
             return self.grid([down(warped.pop(0)) for down in self.down])
         if self.mode is FusionMode.TOGETHER:
-            merged = leaky_relu(self.merge_in(warped))
+            merged = self.merge_in(warped, leaky=True)
             warped.clear()
             return self.up_shared(self.down_shared(merged))
         ctxs = [up(down(warped.pop(0))) for down, up in zip(self.down, self.up)]

@@ -70,6 +70,14 @@ def op_checks(seed: int = 0) -> list[GradCheckReport]:
     w_narrow = rng.normal(size=(2, 3, 3, 3)) * 0.5
     w_1x1 = rng.normal(size=(2, 3, 1, 1)) * 0.5
     b_narrow = rng.normal(size=2) * 0.1
+    # drawn after those for the same reason. The leaky epilogue's
+    # pre-activations clear its kink by at least 0.05: a positive input and
+    # one weight sign per output channel put each one at least 0.2 * 0.5
+    # (the centre tap) from zero, and the bias moves it by under 0.05
+    x_pos = rng.uniform(0.5, 1.5, size=(2, 6, 6))
+    w_signed = np.array([1.0, -1.0, 1.0])[:, None, None, None] * rng.uniform(0.2, 1.0, size=(3, 2, 3, 3))
+    b_small = rng.uniform(-0.05, 0.05, size=3)
+    skip = rng.normal(size=(2, 6, 6))
 
     cases = [
         ("add", lambda t1, t2: _projected(t1 + t2, seed), [a, a * 0.3]),
@@ -93,6 +101,16 @@ def op_checks(seed: int = 0) -> list[GradCheckReport]:
             "conv2d_two_parts",
             lambda t1, t2, tw, tb: _projected(conv2d([t1, t2], tw, tb, 1), seed),
             [x_img, x_img[:1] * 0.5, w_narrow, b_narrow],
+        ),
+        (
+            "conv2d_leaky",
+            lambda tx, tw, tb: _projected(conv2d(tx, tw, tb, 1, leaky=True), seed),
+            [x_pos, w_signed, b_small],
+        ),
+        (
+            "conv2d_residual",
+            lambda tx, tw, tb, tr: _projected(conv2d(tx, tw, tb, 1, residual=tr), seed),
+            [x3, w_narrow, b_narrow, skip],
         ),
         ("sum_all", lambda t: sum_all(t), [a]),
         ("mean_all", lambda t: mean_all(t), [a]),

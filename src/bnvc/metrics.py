@@ -16,6 +16,7 @@ to the anchor.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -28,10 +29,14 @@ __all__ = ["RDPoint", "EncodeStats", "psnr", "rd_by_position", "bd_rate"]
 
 @dataclass(frozen=True)
 class RDPoint:
-    """One operating point of a rate-distortion curve."""
+    """One operating point of a rate-distortion curve; both fields are real numbers."""
 
     bpp: float
     psnr: float
+
+    def __post_init__(self):
+        check_type("RDPoint bpp", self.bpp, numbers.Real)
+        check_type("RDPoint psnr", self.psnr, numbers.Real)
 
 
 @dataclass
@@ -56,10 +61,16 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio between two 8-bit images, in dB.
 
     Computed as 10*log10(255^2 / MSE) over every sample of every
-    channel. Identical inputs return math.inf.
+    channel. Identical inputs return math.inf. Both must be arrays, or
+    nested sequences, of integers or floats.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
+    try:
+        a = np.asarray(a)
+        b = np.asarray(b)
+    except ValueError as err:  # a ragged nested sequence
+        raise UsageError(f"psnr needs two numeric arrays: {err}") from None
+    if a.dtype.kind not in "uif" or b.dtype.kind not in "uif":
+        raise UsageError(f"psnr needs two numeric arrays, got {a.dtype} and {b.dtype}")
     if a.shape != b.shape:
         raise UsageError(f"psnr needs equal shapes, got {a.shape} vs {b.shape}")
     diff = a.astype(np.float64) - b.astype(np.float64)

@@ -39,7 +39,6 @@ from .tensor import (
     clamp,
     conv_out_extent,
     exp,
-    leaky_relu,
     log,
     std_normal_cdf,
     sigmoid,
@@ -176,31 +175,31 @@ class CodecModel:
     # -- feature extraction ----------------------------------------------
 
     def extract_feature(self, x_rgb: Tensor) -> Tensor:
-        return self.feat2(leaky_relu(self.feat1(x_rgb)))
+        return self.feat2(self.feat1(x_rgb, leaky=True))
 
     # -- motion path -----------------------------------------------------
 
     def mv_analyze(self, flow: Tensor) -> Tensor:
-        return self.mv_enc2(leaky_relu(self.mv_enc1(flow)))
+        return self.mv_enc2(self.mv_enc1(flow, leaky=True))
 
     def mv_hyper_analyze(self, y: Tensor) -> Tensor:
         return self.mv_hyper_enc(y)
 
     def mv_hyper_synthesize(self, z_hat: Tensor, latent_hw: tuple[int, int]) -> tuple[Tensor, Tensor]:
-        h = leaky_relu(self.mv_hyper_dec(bilinear_resize(z_hat, *latent_hw)))
+        h = self.mv_hyper_dec(bilinear_resize(z_hat, *latent_hw), leaky=True)
         return self.mv_head_mean(h), _to_scale(self.mv_head_scale(h))
 
     def mv_synthesize(self, y_hat: Tensor, frame_hw: tuple[int, int]) -> Tensor:
         h, w = frame_hw
-        t = leaky_relu(self.mv_dec1(y_hat))
-        t = leaky_relu(self.mv_dec2(bilinear_resize(t, h // 2, w // 2)))
+        t = self.mv_dec1(y_hat, leaky=True)
+        t = self.mv_dec2(bilinear_resize(t, h // 2, w // 2), leaky=True)
         return self.mv_dec3(bilinear_resize(t, h, w))
 
     # -- contextual path ---------------------------------------------------
 
     def ctx_analyze(self, x: Tensor, ctx: ContextPyramid) -> Tensor:
-        h = leaky_relu(self.ctx_enc1([x, ctx.c0]))
-        h = leaky_relu(self.ctx_enc2([h, ctx.c1]))
+        h = self.ctx_enc1([x, ctx.c0], leaky=True)
+        h = self.ctx_enc2([h, ctx.c1], leaky=True)
         return self.ctx_enc3([h, ctx.c2])
 
     def ctx_hyper_analyze(self, y: Tensor) -> Tensor:
@@ -208,17 +207,17 @@ class CodecModel:
 
     def ctx_hyper_synthesize(self, z_hat: Tensor, ctx: ContextPyramid, latent_hw: tuple[int, int]) -> tuple[Tensor, Tensor]:
         zi = bilinear_resize(z_hat, *latent_hw)
-        h = leaky_relu(self.ctx_hyper_dec([zi, ctx.c2]))
+        h = self.ctx_hyper_dec([zi, ctx.c2], leaky=True)
         return self.ctx_head_mean(h), _to_scale(self.ctx_head_scale(h))
 
     def ctx_synthesize(self, y_hat: Tensor, ctx: ContextPyramid, frame_hw: tuple[int, int]) -> Tensor:
         h, w = frame_hw
-        t = leaky_relu(self.ctx_dec1([y_hat, ctx.c2]))
-        t = leaky_relu(self.ctx_dec2([bilinear_resize(t, h // 2, w // 2), ctx.c1]))
+        t = self.ctx_dec1([y_hat, ctx.c2], leaky=True)
+        t = self.ctx_dec2([bilinear_resize(t, h // 2, w // 2), ctx.c1], leaky=True)
         return self.ctx_dec3([bilinear_resize(t, h, w), ctx.c0])
 
     def generate_frame(self, f_hat: Tensor, ctx_c0: Tensor) -> tuple[Tensor, Tensor]:
-        trunk = leaky_relu(self.gen_in([f_hat, ctx_c0]))
+        trunk = self.gen_in([f_hat, ctx_c0], leaky=True)
         trunk = self.gen_res2(self.gen_res1(trunk))
         return self.gen_out(trunk), trunk
 

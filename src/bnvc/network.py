@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UsageError, check_type
-from .tensor import Tensor, conv2d, leaky_relu
+from .tensor import Tensor, conv2d
 
 __all__ = ["ParamStore", "Conv", "ResBlock", "fnv1a64"]
 
@@ -160,7 +160,7 @@ class ParamStore:
 class Conv:
     """Same-padded 3x3 (by default) convolution layer with He-normal
     initialization; see tensor.conv2d, which also takes the input as a
-    list of channel parts."""
+    list of channel parts, and its `leaky` and `residual` epilogues."""
 
     def __init__(
         self,
@@ -180,8 +180,8 @@ class Conv:
         self.w = store.add(f"{name}.w", rng.normal(0.0, std, size=(c_out, c_in, k, k)))
         self.b = store.add(f"{name}.b", np.full(c_out, bias_fill))
 
-    def __call__(self, x: Tensor | list[Tensor]) -> Tensor:
-        return conv2d(x, self.w, self.b, stride=self.stride)
+    def __call__(self, x: Tensor | list[Tensor], *, leaky: bool = False, residual: Tensor | None = None) -> Tensor:
+        return conv2d(x, self.w, self.b, stride=self.stride, leaky=leaky, residual=residual)
 
 
 class ResBlock:
@@ -192,4 +192,4 @@ class ResBlock:
         self.conv2 = Conv(store, f"{name}.conv2", channels, channels, rng=rng, init_scale=0.5)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x + self.conv2(leaky_relu(self.conv1(x)))
+        return self.conv2(self.conv1(x, leaky=True), residual=x)

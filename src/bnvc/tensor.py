@@ -36,6 +36,21 @@ backward() consumes the graph it runs over: interior nodes drop their
 gradients, rules and parents as it goes, and only leaves keep .grad.
 Graphs must not be shared across concurrent executions; independent
 graphs may run in parallel.
+
+A recorded graph holds what backward reads and little else. A rule
+reads its parents' data, which no op writes into, and at most its own
+output (exp, sigmoid); beyond those, only clamp and conv2d's leaky
+epilogue keep a bool mask, and bilinear_resize its cached matrices.
+warp_bilinear recomputes its corner indices, weights and gathers from
+its parents' data in backward, trading cheap recomputation for memory
+as in Chen et al., "Training Deep Nets with Sublinear Memory Cost"
+(arXiv:1604.06174). conv2d's two epilogues fuse the op that follows a
+conv into its node, one stored array per fused conv as in Rota Bulo et
+al., "In-Place Activated BatchNorm" (arXiv:1712.02616): `leaky=True`
+is leaky_relu(conv + bias), whose rule keeps the pre-activation's mask
+x >= 0 as bools, not the float pre-activation, and `residual=t` is
+conv + bias + t, which keeps no conv output. Both give the unfused
+ops' bits in the value and in every gradient.
 """
 
 from __future__ import annotations
@@ -445,7 +460,15 @@ def _correlate(parts: Sequence[np.ndarray], wd: np.ndarray, stride: int) -> np.n
     return acc.reshape(c_out, out_h, wp)[:, :, :out_w]
 
 
-def conv2d(x: Tensor | Sequence[Tensor], weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
+def conv2d(
+    x: Tensor | Sequence[Tensor],
+    weight: Tensor,
+    bias: Tensor,
+    stride: int = 1,
+    *,
+    leaky: bool = False,
+    residual: Optional[Tensor] = None,
+) -> Tensor:
     """Same-padded 2-D convolution (cross-correlation).
 
     x: (C, H, W), or a sequence of channel parts (C_i, H, W) that stack
@@ -455,6 +478,14 @@ def conv2d(x: Tensor | Sequence[Tensor], weight: Tensor, bias: Tensor, stride: i
     it; each part receives its slice of the input gradient. Every
     convolution zero-pads by k // 2, so the output is ceil(H / stride)
     x ceil(W / stride) (conv_out_extent).
+
+    Two epilogues run in the same node, in place on its output buffer:
+    `residual=t` adds t, of the output's shape, after the bias, and t
+    receives the output gradient; `leaky=True` then applies leaky_relu.
+    Each equals its unfused ops, `t + conv2d(...)` or
+    `leaky_relu(conv2d(...))`, bit for bit in the value and in every
+    gradient, and keeps no pre-activation: the leaky rule keeps its mask
+    x >= 0 as bools.
     """
     parts = [x] if isinstance(x, Tensor) else list(x)
     xds = [p.data for p in parts]
@@ -477,19 +508,35 @@ def conv2d(x: Tensor | Sequence[Tensor], weight: Tensor, bias: Tensor, stride: i
         raise ShapeError(f"conv2d bias must be ({c_out},), got {bd.shape}")
     check_int("stride", stride, 1)
     _, h, w = xds[0].shape
+    out_shape = (c_out, conv_out_extent(h, stride), conv_out_extent(w, stride))
+    if residual is not None and residual.shape != out_shape:
+        raise ShapeError(f"conv2d residual must be the output's {out_shape}, got {residual.shape}")
+    # the residual comes first, as the left operand of the add it replaces,
+    # so backward visits and accumulates in that add's order
+    parents = (*parts, weight, bias) if residual is None else (residual, *parts, weight, bias)
 
     out = _correlate(xds, wd, stride) + bd[:, None, None]
+    if residual is not None:
+        out += residual.data
+    mask = None
+    if leaky:
+        if any(p.requires_grad for p in parents):
+            mask = out >= 0.0
+        np.maximum(out, _LEAKY_SLOPE * out, out=out)
 
     def back(g):
+        if mask is not None:
+            g = np.where(mask, g, _LEAKY_SLOPE * g)
         # a parent without requires_grad would drop its gradient unread
         g_parts = [None] * len(parts)
         if any(p.requires_grad for p in parts):
             g_x = _conv_input_grad(g, wd, stride, h, w)
             g_parts = [g_x[a:b] for a, b in zip(bounds, bounds[1:])]
         g_w = _conv_weight_grad(g, xds, k, stride) if weight.requires_grad else None
-        return (*g_parts, g_w, g.reshape(c_out, -1).sum(axis=1))
+        grads = (*g_parts, g_w, g.reshape(c_out, -1).sum(axis=1))
+        return grads if residual is None else (g, *grads)
 
-    return _node(out, (*parts, weight, bias), back)
+    return _node(out, parents, back)
 
 
 def _conv_weight_grad(g: np.ndarray, parts: Sequence[np.ndarray], k: int, stride: int) -> np.ndarray:
@@ -592,19 +639,11 @@ def _pixel_grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return gy, gx
 
 
-def warp_bilinear(x: Tensor, flow: Tensor) -> Tensor:
-    """Backward warp: out(p) = x(p + flow(p)) with bilinear sampling.
-
-    flow is (2, H, W): channel 0 is the horizontal displacement in
-    pixels, channel 1 the vertical one. Samples outside the image clamp
-    to the border. Differentiable in both the image and the flow; the
-    flow gradient is zero where clamping is active.
-    """
-    xd, fd = x.data, flow.data
-    if xd.ndim != 3:
-        raise ShapeError(f"warp input must be (C, H, W), got {xd.shape}")
-    if fd.shape != (2,) + xd.shape[1:]:
-        raise ShapeError(f"flow must be (2, {xd.shape[1]}, {xd.shape[2]}), got {fd.shape}")
+def _warp_samples(xd: np.ndarray, fd: np.ndarray):
+    """warp_bilinear's samples of xd (C, H, W) at flow fd: the flat
+    indices of the four corners (00, 01, 10, 11 as (row, column)
+    offsets), their (C, H, W) gathers, the fractional offsets fx, fy and
+    the unclamped sample positions sx, sy."""
     c, h, w = xd.shape
     gy, gx = _pixel_grid(h, w)
     sx = gx + fd[0]
@@ -615,37 +654,52 @@ def warp_bilinear(x: Tensor, flow: Tensor) -> Tensor:
     y0 = syc.astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = sxc - x0
-    fy = syc - y0
-
+    idx = (y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1)
     # corner gathers through the flat view come out C-contiguous, where
     # xd[:, y, x] is channel-last
     xf = xd.reshape(c, -1)
-    i00, i01, i10, i11 = y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1
-    v00 = xf.take(i00, axis=1)
-    v01 = xf.take(i01, axis=1)
-    v10 = xf.take(i10, axis=1)
-    v11 = xf.take(i11, axis=1)
-    w00 = (1.0 - fy) * (1.0 - fx)
-    w01 = (1.0 - fy) * fx
-    w10 = fy * (1.0 - fx)
-    w11 = fy * fx
+    vals = tuple(xf.take(i, axis=1) for i in idx)
+    return idx, vals, sxc - x0, syc - y0, sx, sy
+
+
+def _corner_weights(fx: np.ndarray, fy: np.ndarray) -> tuple[np.ndarray, ...]:
+    return (1.0 - fy) * (1.0 - fx), (1.0 - fy) * fx, fy * (1.0 - fx), fy * fx
+
+
+def warp_bilinear(x: Tensor, flow: Tensor) -> Tensor:
+    """Backward warp: out(p) = x(p + flow(p)) with bilinear sampling.
+
+    flow is (2, H, W): channel 0 is the horizontal displacement in
+    pixels, channel 1 the vertical one. Samples outside the image clamp
+    to the border. Differentiable in both the image and the flow; the
+    flow gradient is zero where clamping is active. The rule keeps no
+    index, weight or gather: it recomputes them from its parents' data,
+    which no op writes into.
+    """
+    xd, fd = x.data, flow.data
+    if xd.ndim != 3:
+        raise ShapeError(f"warp input must be (C, H, W), got {xd.shape}")
+    if fd.shape != (2,) + xd.shape[1:]:
+        raise ShapeError(f"flow must be (2, {xd.shape[1]}, {xd.shape[2]}), got {fd.shape}")
+    c, h, w = xd.shape
+    _, (v00, v01, v10, v11), fx, fy, _, _ = _warp_samples(xd, fd)
+    w00, w01, w10, w11 = _corner_weights(fx, fy)
     out = v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11
 
-    inside_x = (sx > 0.0) & (sx < w - 1.0)
-    inside_y = (sy > 0.0) & (sy < h - 1.0)
-
     def back(g):
+        idx, (v00, v01, v10, v11), fx, fy, sx, sy = _warp_samples(xd, fd)
         # one bincount over the corner-major flat indices ch*H*W + idx adds in
         # input order, so each pixel sums the same terms in the same order as
         # four np.add.at calls, one per corner
         hw = h * w
         gflat = g.reshape(c, hw)
-        flat = np.stack([i00, i01, i10, i11]).reshape(4, 1, hw) + (np.arange(c) * hw)[:, None]
-        vals = gflat * np.stack([w00, w01, w10, w11]).reshape(4, 1, hw)
+        flat = np.stack(idx).reshape(4, 1, hw) + (np.arange(c) * hw)[:, None]
+        vals = gflat * np.stack(_corner_weights(fx, fy)).reshape(4, 1, hw)
         gx_img = np.bincount(flat.ravel(), weights=vals.ravel(), minlength=c * hw)
         d_dx = ((v01 - v00) * (1.0 - fy) + (v11 - v10) * fy) * g
         d_dy = ((v10 - v00) * (1.0 - fx) + (v11 - v01) * fx) * g
+        inside_x = (sx > 0.0) & (sx < w - 1.0)
+        inside_y = (sy > 0.0) & (sy < h - 1.0)
         gflow = np.stack(
             [
                 np.where(inside_x, d_dx.sum(axis=0), 0.0),

@@ -7,7 +7,7 @@ import pytest
 
 from bnvc.codec import decode_sequence, encode_sequence, intra_frame
 from bnvc.errors import UsageError
-from bnvc.metrics import bd_rate, rd_by_position
+from bnvc.metrics import RDPoint, bd_rate, psnr, rd_by_position
 from bnvc.model import CodecModel, ModelConfig
 from bnvc.motion import estimate_motion
 from bnvc.policies import DuplicationPolicy
@@ -91,6 +91,15 @@ MISTAKES = {
     "conv2d_stride_str": lambda m, f, d: conv2d(X, W, B, stride="1"),
     # raised AttributeError: 'int' object has no attribute 'bpp'
     "bd_rate_ints": lambda m, f, d: bd_rate([1, 2, 3, 4], [1, 2, 3, 4]),
+    # RDPoint took any value, and bd_rate raised numpy's ValueError on a str field
+    "rd_point_bpp_str": lambda m, f, d: RDPoint("a", 1.0),
+    "rd_point_psnr_none": lambda m, f, d: RDPoint(1.0, None),
+    "bd_rate_bpp_str": lambda m, f, d: bd_rate([RDPoint("a", 1.0)] * 4, [RDPoint(1.0, 1.0)] * 4),
+    "bd_rate_psnr_str": lambda m, f, d: bd_rate([RDPoint(1.0, "x")] * 4, [RDPoint(1.0, 1.0)] * 4),
+    # these raised numpy's ValueError, ValueError, and returned nan
+    "psnr_str": lambda m, f, d: psnr("abc", "abd"),
+    "psnr_ragged": lambda m, f, d: psnr([[1, 2], [3]], [[1, 2], [3]]),
+    "psnr_none": lambda m, f, d: psnr(None, None),
 }
 
 

@@ -312,6 +312,127 @@ class TestConvParts:
         assert np.array_equal(tensor_mod._correlate([x], wd, 1), _shift_form_all_taps(x, wd))
 
 
+def _conv_leaves(rng, sizes, c_out, k, stride):
+    """Two identical sets of conv2d leaves, each (parts, weight, bias), and
+    the output shape, for comparing a fused node with its unfused ops."""
+    h, w = 9, 7
+    parts = [rng.normal(size=(c, h, w)) for c in sizes]
+    wv = rng.normal(size=(c_out, sum(sizes), k, k))
+    bv = rng.normal(size=c_out)
+    sets = [([_t(p, grad=True) for p in parts], _t(wv, grad=True), _t(bv, grad=True)) for _ in range(2)]
+    out_shape = (c_out, tensor_mod.conv_out_extent(h, stride), tensor_mod.conv_out_extent(w, stride))
+    return sets, out_shape
+
+
+def _grad_bytes(y, g, leaves):
+    """The bytes of each leaf's gradient of sum(y * g)."""
+    with np.errstate(invalid="ignore"):  # the loss may sum inf and -inf terms
+        sum_all(y * _t(g)).backward()
+    return [leaf.grad.tobytes() for leaf in leaves]
+
+
+def _rule_arrays(y):
+    """The arrays y's rule holds beyond its parents' data."""
+    held = []
+    for cell in y._backward_fn.__closure__:
+        value = cell.cell_contents
+        held.extend(v for v in (value if isinstance(value, list) else [value]) if isinstance(v, np.ndarray))
+    parent_data = {id(p.data) for p in y._parents}
+    return [a for a in held if id(a) not in parent_data]
+
+
+EPILOGUE_FORMS = pytest.mark.parametrize(
+    "sizes,c_out,k,stride",
+    [((2, 1), 5, 3, 1), ((4, 2), 3, 3, 1), ((3,), 4, 3, 2), ((5,), 2, 1, 1)],
+    ids=["kernel_row", "shift", "im2col", "1x1"],
+)
+
+
+class TestConvEpilogues:
+    """conv2d's leaky and residual epilogues give the unfused ops' bits, in
+    the value and in every gradient, in every form."""
+
+    @EPILOGUE_FORMS
+    def test_leaky_equals_unfused(self, sizes, c_out, k, stride):
+        rng = np.random.default_rng(sum(sizes) + 10 * c_out + k + stride)
+        ((parts, w1, b1), (whole, w2, b2)), shape = _conv_leaves(rng, sizes, c_out, k, stride)
+        fused = conv2d(parts, w1, b1, stride, leaky=True)
+        unfused = leaky_relu(conv2d(whole, w2, b2, stride))
+        assert fused.data.tobytes() == unfused.data.tobytes()
+        g = rng.normal(size=shape)
+        assert _grad_bytes(fused, g, [*parts, w1, b1]) == _grad_bytes(unfused, g, [*whole, w2, b2])
+
+    @EPILOGUE_FORMS
+    def test_residual_equals_unfused(self, sizes, c_out, k, stride):
+        rng = np.random.default_rng(sum(sizes) + 10 * c_out + k + stride + 1)
+        ((parts, w1, b1), (whole, w2, b2)), shape = _conv_leaves(rng, sizes, c_out, k, stride)
+        skip = rng.normal(size=shape)
+        r1, r2 = _t(skip, grad=True), _t(skip, grad=True)
+        fused = conv2d(parts, w1, b1, stride, residual=r1)
+        unfused = r2 + conv2d(whole, w2, b2, stride)
+        assert fused.data.tobytes() == unfused.data.tobytes()
+        g = rng.normal(size=shape)
+        assert _grad_bytes(fused, g, [*parts, w1, b1, r1]) == _grad_bytes(unfused, g, [*whole, w2, b2, r2])
+
+    def test_resblock_gradients_equal_unfused(self):
+        """x feeds both the first conv and the residual, so its gradient sums
+        two terms in the order the unfused add and convs give them."""
+        rng = np.random.default_rng(31)
+        xv, w1v, w2v = rng.normal(size=(4, 8, 8)), rng.normal(size=(4, 4, 3, 3)), rng.normal(size=(4, 4, 3, 3))
+        b1v, b2v = rng.normal(size=4), rng.normal(size=4)
+        a, b = [[_t(v, grad=True) for v in (xv, w1v, b1v, w2v, b2v)] for _ in range(2)]
+        fused = conv2d(conv2d(a[0], a[1], a[2], leaky=True), a[3], a[4], residual=a[0])
+        unfused = b[0] + conv2d(leaky_relu(conv2d(b[0], b[1], b[2])), b[3], b[4])
+        assert fused.data.tobytes() == unfused.data.tobytes()
+        g = rng.normal(size=(4, 8, 8))
+        assert _grad_bytes(fused, g, a) == _grad_bytes(unfused, g, b)
+
+    def test_leaky_on_special_pre_activations(self, monkeypatch):
+        """Pre-activations of +-0.0, -inf, NaN and -5e-324, whose 0.1x rounds
+        to -0.0: there the output -0.0 is >= 0 where its input is not, so
+        the rule must keep the input's mask, not read the output's sign.
+        No BLAS GEMM returns -0.0, so the forward correlation is replaced by
+        the wanted pre-activation; the -0.0 bias adds nothing to it."""
+        pre = np.array([0.0, -0.0, -np.inf, np.nan, -5e-324, 1.5, -2.0, np.inf]).reshape(1, 2, 4)
+        assert 0.1 * pre[0, 1, 0] == 0.0 and np.signbit(0.1 * pre[0, 1, 0])
+        rng = np.random.default_rng(32)
+        xv, wv = rng.normal(size=(1, 2, 4)), rng.normal(size=(1, 1, 3, 3))
+        real = tensor_mod._correlate
+        forward_weights = []
+
+        def correlate(parts, wd, stride):
+            # the forward pass correlates with the weight itself, the input
+            # gradient with its flipped copy
+            return pre.copy() if any(wd is w for w in forward_weights) else real(parts, wd, stride)
+
+        monkeypatch.setattr(tensor_mod, "_correlate", correlate)
+        a, b = [[_t(xv, grad=True), _t(wv, grad=True), _t([-0.0], grad=True)] for _ in range(2)]
+        forward_weights += [a[1].data, b[1].data]
+        fused = conv2d(a[0], a[1], a[2], leaky=True)
+        unfused = leaky_relu(conv2d(b[0], b[1], b[2]))
+        assert fused.data.tobytes() == unfused.data.tobytes() == np.maximum(pre, 0.1 * pre).tobytes()
+        assert fused.data[0, 1, 0] >= 0.0 and not pre[0, 1, 0] >= 0.0
+        g = rng.normal(size=pre.shape)
+        assert _grad_bytes(fused, g, a) == _grad_bytes(unfused, g, b)
+        assert a[2].grad.tobytes() == np.where(pre >= 0.0, g, 0.1 * g).sum(keepdims=True)[0, 0].tobytes()
+
+    def test_rules_keep_only_a_bool_mask(self):
+        rng = np.random.default_rng(33)
+        x = _t(rng.normal(size=(3, 6, 6)), grad=True)
+        w, b = _t(rng.normal(size=(3, 3, 3, 3)), grad=True), _t(rng.normal(size=3), grad=True)
+        leaky = conv2d(x, w, b, leaky=True)
+        assert [(a.dtype, a.shape) for a in _rule_arrays(leaky)] == [(np.bool_, leaky.shape)]
+        assert _rule_arrays(conv2d(x, w, b, residual=x)) == []
+        assert _rule_arrays(warp_bilinear(x, _t(rng.normal(size=(2, 6, 6)), grad=True))) == []
+
+    def test_residual_shape_checked(self):
+        x, w, b = _t(np.zeros((2, 6, 6))), _t(np.zeros((3, 2, 3, 3))), _t(np.zeros(3))
+        with pytest.raises(ShapeError):
+            conv2d(x, w, b, residual=x)  # 2 channels, not 3
+        with pytest.raises(ShapeError):
+            conv2d(x, w, b, stride=2, residual=_t(np.zeros((3, 6, 6))))  # the input's size, not the output's
+
+
 class TestBilinearResize:
     def test_identity_size(self):
         rng = np.random.default_rng(1)
@@ -428,6 +549,45 @@ class TestWarpBilinear:
         for weight, idx in corners:
             np.add.at(want, (np.arange(c)[:, None], idx.ravel()[None, :]), g.reshape(c, -1) * weight.ravel()[None, :])
         assert np.array_equal(xt.grad.reshape(c, -1).view(np.int64), want.view(np.int64))
+
+    def test_rule_equals_retained_gather_formula(self):
+        """The rule recomputes its corners, weights and gathers; both
+        gradients equal the formula over the forward pass's own arrays. A
+        large flow clamps many samples, and some land exactly on the border,
+        where the flow gradient is zero."""
+        rng = np.random.default_rng(10)
+        c, h, w = 3, 7, 9
+        x = rng.normal(size=(c, h, w))
+        flow = rng.normal(scale=6.0, size=(2, h, w))
+        flow[0, 0, :3] = -np.arange(3.0)  # column 0 exactly
+        flow[1, 2, 4] = h - 1.0 - 2.0  # row h - 1 exactly
+        g = rng.normal(size=(c, h, w))
+        g[0, 1] = -0.0
+        xt, ft = _t(x, grad=True), _t(flow, grad=True)
+        backward(sum_all(warp_bilinear(xt, ft) * _t(g)))
+
+        gy, gx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+        sx, sy = gx + flow[0], gy + flow[1]
+        sxc, syc = np.clip(sx, 0.0, w - 1.0), np.clip(sy, 0.0, h - 1.0)
+        x0, y0 = sxc.astype(np.int64), syc.astype(np.int64)
+        x1, y1 = np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1)
+        fx, fy = sxc - x0, syc - y0
+        xf = x.reshape(c, -1)
+        i00, i01, i10, i11 = y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1
+        v00, v01, v10, v11 = (xf.take(i, axis=1) for i in (i00, i01, i10, i11))
+        weights = ((1.0 - fy) * (1.0 - fx), (1.0 - fy) * fx, fy * (1.0 - fx), fy * fx)
+        hw = h * w
+        flat = np.stack([i00, i01, i10, i11]).reshape(4, 1, hw) + (np.arange(c) * hw)[:, None]
+        vals = g.reshape(c, hw) * np.stack(weights).reshape(4, 1, hw)
+        want_gx = np.bincount(flat.ravel(), weights=vals.ravel(), minlength=c * hw).reshape(c, h, w)
+        d_dx = ((v01 - v00) * (1.0 - fy) + (v11 - v10) * fy) * g
+        d_dy = ((v10 - v00) * (1.0 - fx) + (v11 - v01) * fx) * g
+        inside_x = (sx > 0.0) & (sx < w - 1.0)
+        inside_y = (sy > 0.0) & (sy < h - 1.0)
+        want_gf = np.stack([np.where(inside_x, d_dx.sum(axis=0), 0.0), np.where(inside_y, d_dy.sum(axis=0), 0.0)])
+        assert sx[0, 0] == 0.0 and sy[2, 4] == h - 1.0 and not inside_x.all() and not inside_y.all()
+        assert np.array_equal(xt.grad.view(np.int64), want_gx.view(np.int64))
+        assert np.array_equal(ft.grad.view(np.int64), want_gf.view(np.int64))
 
     def test_flow_shape_validated(self):
         with pytest.raises(ShapeError):

@@ -199,6 +199,25 @@ class TestTrainingMemory:
         assert train_peak <= 1.5 * one_graph, (train_peak, one_graph)
 
 
+    def test_one_rollout_graph_holds_at_most_20_mb(self, dataset):
+        """Fused conv epilogues keep a bool mask per leaky ReLU and no
+        pre-activation or residual sum, and warps keep no gathers: one
+        rollout-4 graph of the toy model held 30.1 MB (MiB) when they did."""
+        config = TrainingConfig(rollout=4)
+        window = dataset[0][: config.rollout + 1]
+        model = _toy_model()
+        model.store.set_requires_grad(True)
+        rollout_loss(model, window, np.random.default_rng(0), config.lam, config.policy)  # fills the grid caches
+        tracemalloc.start()
+        try:
+            graph = rollout_loss(model, window, np.random.default_rng(0), config.lam, config.policy)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del graph
+        assert held <= 20 * 2**20, held
+
+
 class TestEvaluation:
     def test_all_entry_sums_the_p_frames(self, dataset):
         model = _toy_model(seed=7)

@@ -13,18 +13,23 @@ benchmark inputs from its codecbench/. The corpus holds 48 streams:
 * the long128_butterfly input and the 12 clips64_together clips, each
   with its workload's model and policy, at seeds 41 and 42: 26 streams.
 
-Every stream is decoded back and must equal the encoder's recons.
-Standard output is one JSON object mapping each stream's name to the
-sha256 of its bytes and of its recons, so comparing the output of two
-checkouts shows whether a change altered any byte; progress goes to
-standard error. The exit status is 1 if any decode differs from its
-recons.
+Every stream is decoded back and must equal the encoder's recons. A
+short training run follows: `train_toy` from the toy model's seed-0
+weights, for 10 steps on the train32_toy workload's seed-41 dataset.
+
+Standard output is one JSON object. It maps each stream's name to the
+sha256 of its bytes and of its recons, and "train_toy" to the sha256 of
+the run's losses as little-endian float64. So comparing the output of
+two checkouts shows whether a change altered any stream byte or any
+training bit. Progress goes to standard error. The exit status is 1 if
+any decode differs from its recons.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import struct
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -33,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TOY_SIZES = ((32, 32), (48, 40), (36, 44))  # (width, height)
 FEW_REFS = (1, 2)
 WORKLOAD_SEEDS = (41, 42)
+TRAIN_STEPS = 10
 
 
 def corpus():
@@ -61,6 +67,18 @@ def corpus():
             yield f"clips64_s{seed}_{i}", frames, clips64_model, policy
 
 
+def train_losses_sha256() -> str:
+    """sha256 of the little-endian float64 losses of the short training run."""
+    from bnvc.training import train_toy
+    from codecbench.workloads import Train32Toy
+
+    workload = Train32Toy()
+    dataset, _ = workload.inputs(WORKLOAD_SEEDS[0])
+    log = train_toy(workload.build(), dataset, workload.train_config(TRAIN_STEPS))
+    losses = [e["loss"] for e in log.entries]
+    return hashlib.sha256(struct.pack(f"<{len(losses)}d", *losses)).hexdigest()
+
+
 def main() -> int:
     for path in (str(ROOT / "src"), str(ROOT)):
         sys.path.insert(0, path)
@@ -77,6 +95,8 @@ def main() -> int:
             "recons_sha256": hashlib.sha256(recons.tobytes()).hexdigest(),
         }
         print(f"# {name}: {len(data)} bytes", file=sys.stderr, flush=True)
+    out["train_toy"] = {"losses_sha256": train_losses_sha256()}
+    print(f"# train_toy: {TRAIN_STEPS} steps", file=sys.stderr, flush=True)
     for name in bad:
         print(f"# {name}: decode differs from the encoder's recons", file=sys.stderr)
     print(json.dumps(out, sort_keys=True))
