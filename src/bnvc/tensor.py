@@ -45,7 +45,7 @@ warp_bilinear recomputes its corner indices, weights and gathers from
 its parents' data in backward, trading cheap recomputation for memory
 as in Chen et al., "Training Deep Nets with Sublinear Memory Cost"
 (arXiv:1604.06174). conv2d's two epilogues fuse the op that follows a
-conv into its node, one stored array per fused conv as in Rota Bulo et
+conv into its node, one float array per fused conv as in Rota Bulo et
 al., "In-Place Activated BatchNorm" (arXiv:1712.02616): `leaky=True`
 is leaky_relu(conv + bias), whose rule keeps the pre-activation's mask
 x >= 0 as bools, not the float pre-activation, and `residual=t` is
